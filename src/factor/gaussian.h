@@ -24,6 +24,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "factor/executor.h"
 #include "factor/guard.h"
 #include "factor/pivot_trace.h"
 #include "matrix/matrix.h"
@@ -135,6 +136,90 @@ inline void count_pivot_event(const PivotEvent& e) {
   }
 }
 
+// The sequential head of elimination step k, shared by every engine:
+// selects the pivot, moves it to row k (a swap, or a circular shift under
+// GEMS, mirrored in `perm` when given), counts and records the event.
+// kSkip and kFail mean column k has no usable pivot.
+template <MatrixStorage Storage>
+PivotEvent pivot_step(Storage& a, std::size_t k, PivotStrategy strategy,
+                      Permutation* perm, PivotTrace& trace) {
+  const std::size_t piv = select_pivot(a, k, strategy);
+  PivotEvent e;
+  e.column = k;
+  if (piv == a.rows()) {
+    e.action = strategy == PivotStrategy::kNone ? PivotAction::kFail
+                                                : PivotAction::kSkip;
+  } else {
+    e.pivot_pos = piv;
+    e.pivot_row = perm ? (*perm)[piv] : piv;
+    if (piv == k) {
+      e.action = PivotAction::kKeep;
+    } else if (strategy == PivotStrategy::kMinimalShift) {
+      e.action = PivotAction::kShift;
+      a.cycle_row_up(k, piv);  // multipliers travel with their rows
+      if (perm) perm->cycle_up(k, piv);
+    } else {
+      e.action = PivotAction::kSwap;
+      a.swap_rows(k, piv);
+      if (perm) perm->swap(k, piv);
+    }
+  }
+  count_pivot_event(e);
+  trace.record(e);
+  return e;
+}
+
+// ge_factor's one body; `exec` runs the rank-1 update's rows (InlineRows
+// here, the pool in ge_factor_parallel_rows). The pivot DECISIONS stay on
+// the calling thread: Theorems 3.1-3.4 say that chain cannot be compressed.
+template <class T, class Exec>
+LuResult<T> lu_factor(Matrix<T> a, PivotStrategy strategy, const Exec& exec) {
+  const std::size_t n = a.rows();
+  const std::size_t m = a.cols();
+  const std::size_t kmax = std::min(n, m);
+  LuResult<T> res;
+  res.row_perm = Permutation(n);
+  for (std::size_t k = 0; k < kmax; ++k) {
+    PFACT_SPAN("ge.step");
+    PFACT_COUNT(kElimSteps);
+    const PivotAction act =
+        pivot_step(a, k, strategy, &res.row_perm, res.trace).action;
+    if (act == PivotAction::kFail) {
+      res.ok = false;
+      break;
+    }
+    if (act == PivotAction::kSkip) continue;
+    const T* pivot = a.row(k);
+    exec(k + 1, n, m - k, [&](std::size_t lo, std::size_t hi) {
+      std::size_t updated = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        T* row = a.row(i);
+        if (is_zero(row[k])) continue;
+        const T f = row[k] / pivot[k];
+        row[k] = f;  // packed storage: multiplier kept in the zeroed slot
+        axpy_row(row + k + 1, pivot + k + 1, f, m - k - 1);
+        ++updated;
+      }
+      PFACT_COUNT_N(kRowUpdates, updated);
+      PFACT_COUNT_N(kRowUpdateElems, updated * (m - k - 1));
+    });
+  }
+  // Unpack L and U.
+  res.l = Matrix<T>(n, n);
+  res.u = Matrix<T>(n, m);
+  for (std::size_t i = 0; i < n; ++i) {
+    res.l(i, i) = T(1);
+    for (std::size_t j = 0; j < m; ++j) {
+      if (j < i && j < kmax) {
+        res.l(i, j) = a(i, j);
+      } else {
+        res.u(i, j) = a(i, j);
+      }
+    }
+  }
+  return res;
+}
+
 }  // namespace detail
 
 // Per-run checks layered on top of the elimination engine (all off by
@@ -196,35 +281,10 @@ PivotTrace eliminate_steps(Storage& a, PivotStrategy strategy,
       ckpt->save(k, a, perm, trace);
     }
     if (checks.guard != nullptr) checks.guard->tick(k);
-    std::size_t piv = detail::select_pivot(a, k, strategy);
-    PivotEvent e;
-    e.column = k;
-    if (piv == n) {
-      if (strategy == PivotStrategy::kNone) {
-        e.action = PivotAction::kFail;
-        trace.record(e);
-        return trace;
-      }
-      e.action = PivotAction::kSkip;
-      detail::count_pivot_event(e);
-      trace.record(e);
-      continue;  // A^{(k+1)} = A^{(k)}
-    }
-    e.pivot_pos = piv;
-    e.pivot_row = perm ? (*perm)[piv] : piv;
-    if (piv == k) {
-      e.action = PivotAction::kKeep;
-    } else if (strategy == PivotStrategy::kMinimalShift) {
-      e.action = PivotAction::kShift;
-      a.cycle_row_up(k, piv);
-      if (perm) perm->cycle_up(k, piv);
-    } else {
-      e.action = PivotAction::kSwap;
-      a.swap_rows(k, piv);
-      if (perm) perm->swap(k, piv);
-    }
-    detail::count_pivot_event(e);
-    trace.record(e);
+    const PivotAction act =
+        detail::pivot_step(a, k, strategy, perm, trace).action;
+    if (act == PivotAction::kFail) return trace;
+    if (act == PivotAction::kSkip) continue;  // A^{(k+1)} = A^{(k)}
     if (checks.reduction_mode && a.get(k, k) != T(1) &&
         a.get(k, k) != T(-1)) {
       throw GuardAbort(GuardAbort::Kind::kInvariant, k,
@@ -263,71 +323,7 @@ PivotTrace eliminate_steps(Storage& a, PivotStrategy strategy,
 // On square input runs min(n,m) steps; `a` is consumed by value.
 template <class T>
 LuResult<T> ge_factor(Matrix<T> a, PivotStrategy strategy) {
-  const std::size_t n = a.rows();
-  const std::size_t m = a.cols();
-  const std::size_t kmax = std::min(n, m);
-  LuResult<T> res;
-  res.row_perm = Permutation(n);
-  for (std::size_t k = 0; k < kmax; ++k) {
-    PFACT_SPAN("ge.step");
-    PFACT_COUNT(kElimSteps);
-    std::size_t piv = detail::select_pivot(a, k, strategy);
-    PivotEvent e;
-    e.column = k;
-    if (piv == n) {
-      if (strategy == PivotStrategy::kNone) {
-        e.action = PivotAction::kFail;
-        res.trace.record(e);
-        res.ok = false;
-        break;
-      }
-      e.action = PivotAction::kSkip;
-      detail::count_pivot_event(e);
-      res.trace.record(e);
-      continue;
-    }
-    e.pivot_pos = piv;
-    e.pivot_row = res.row_perm[piv];
-    if (piv == k) {
-      e.action = PivotAction::kKeep;
-    } else if (strategy == PivotStrategy::kMinimalShift) {
-      e.action = PivotAction::kShift;
-      a.cycle_row_up(k, piv);  // multipliers travel with their rows
-      res.row_perm.cycle_up(k, piv);
-    } else {
-      e.action = PivotAction::kSwap;
-      a.swap_rows(k, piv);
-      res.row_perm.swap(k, piv);
-    }
-    detail::count_pivot_event(e);
-    res.trace.record(e);
-    std::size_t updated = 0;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      if (is_zero(a(i, k))) continue;
-      T f = a(i, k) / a(k, k);
-      a(i, k) = f;  // packed storage: multiplier kept in the zeroed slot
-      ++updated;
-      for (std::size_t j = k + 1; j < m; ++j) {
-        a(i, j) -= f * a(k, j);
-      }
-    }
-    PFACT_COUNT_N(kRowUpdates, updated);
-    PFACT_COUNT_N(kRowUpdateElems, updated * (m - k - 1));
-  }
-  // Unpack L and U.
-  res.l = Matrix<T>(n, n);
-  res.u = Matrix<T>(n, m);
-  for (std::size_t i = 0; i < n; ++i) {
-    res.l(i, i) = T(1);
-    for (std::size_t j = 0; j < m; ++j) {
-      if (j < i && j < kmax) {
-        res.l(i, j) = a(i, j);
-      } else {
-        res.u(i, j) = a(i, j);
-      }
-    }
-  }
-  return res;
+  return detail::lu_factor(std::move(a), strategy, InlineRows{});
 }
 
 // Convenience wrappers matching the paper's algorithm names.

@@ -17,11 +17,13 @@
 // row pairs — the classic "stable parallel linear system solver" the paper's
 // introduction credits as the best practical parallel option.
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "factor/executor.h"
 #include "factor/guard.h"
 #include "matrix/matrix.h"
 #include "matrix/storage.h"
@@ -42,67 +44,45 @@ struct QrResult {
 
 namespace detail {
 
-// Applies the rotation eliminating a(j,i) against pivot row i. Returns true
-// if a rotation was applied (a(j,i) != 0). Each arithmetic operation is one
-// machine operation in the field T — this sequencing is what the Section 4
-// floating point analysis is about, so keep it explicit.
 template <class T>
-bool apply_givens(Matrix<T>& a, Matrix<T>* q, std::size_t i, std::size_t j) {
-  if (is_zero(a(j, i))) return false;
-  T r = field_sqrt(a(i, i) * a(i, i) + a(j, i) * a(j, i));
-  if (!field_finite(r) || is_zero(r)) {
-    throw GuardAbort(GuardAbort::Kind::kInvariant, i,
-                     "degenerate Givens rotation at (" + std::to_string(j) +
-                         ", " + std::to_string(i) + "): |r| is " +
-                         (is_zero(r) ? "zero" : "non-finite"));
-  }
-  PFACT_COUNT(kGivensRotations);
-  T c = a(i, i) / r;
-  T s = a(j, i) / r;
-  for (std::size_t t = 0; t < a.cols(); ++t) {
-    T top = a(i, t);
-    T bot = a(j, t);
-    a(i, t) = c * top + s * bot;
-    a(j, t) = c * bot - s * top;
-  }
-  a(j, i) = T(0);  // exact by construction; avoids residual roundoff dust
-  if (q != nullptr) {
-    // Accumulate Q = G_1^T G_2^T ... : apply the inverse rotation to columns.
-    for (std::size_t t = 0; t < q->rows(); ++t) {
-      T qi = (*q)(t, i);
-      T qj = (*q)(t, j);
-      (*q)(t, i) = c * qi + s * qj;
-      (*q)(t, j) = c * qj - s * qi;
-    }
-  }
-  return true;
-}
+struct Rotation {
+  T c, s;
+};
 
-// Neighbour-row variant: rotate rows (p, j) to annihilate a(j, col), where
-// p is typically the upper neighbour j-1 (Sameh–Kuck) rather than the
-// diagonal row.
+// The rotation annihilating `bot` against `top`: r = sqrt(top^2 + bot^2),
+// c = top / r, s = bot / r. Each arithmetic operation is one machine
+// operation in the field T — this sequencing is what the Section 4 floating
+// point analysis is about, so keep it explicit. Aborts on a degenerate r,
+// naming entry (j, col) and reporting row p as the position.
 template <class T>
-bool apply_givens(Matrix<T>& a, Matrix<T>* q, std::size_t p, std::size_t j,
-                  std::size_t col) {
-  if (is_zero(a(j, col))) return false;
-  T r = field_sqrt(a(p, col) * a(p, col) + a(j, col) * a(j, col));
+Rotation<T> givens_rotation(const T& top, const T& bot, std::size_t p,
+                            std::size_t j, std::size_t col) {
+  const T r = field_sqrt(top * top + bot * bot);
   if (!field_finite(r) || is_zero(r)) {
     throw GuardAbort(GuardAbort::Kind::kInvariant, p,
                      "degenerate Givens rotation at (" + std::to_string(j) +
                          ", " + std::to_string(col) + "): |r| is " +
                          (is_zero(r) ? "zero" : "non-finite"));
   }
-  PFACT_COUNT(kGivensRotations);
-  T c = a(p, col) / r;
-  T s = a(j, col) / r;
-  for (std::size_t t = 0; t < a.cols(); ++t) {
-    T top = a(p, t);
-    T bot = a(j, t);
-    a(p, t) = c * top + s * bot;
-    a(j, t) = c * bot - s * top;
-  }
-  a(j, col) = T(0);
+  return {top / r, bot / r};
+}
+
+// Rotates rows (p, j) to annihilate a(j, col) against a(p, col), where p is
+// the diagonal row col (natural order) or the upper neighbour j-1
+// (Sameh–Kuck). Returns false, touching nothing, if a(j, col) is already
+// zero. Only the live columns [col, cols) are rotated: both annihilation
+// orders retire every entry left of col in both rows first, so those are
+// exact zeros that the rotation would only map to signed zeros. Callers
+// count the rotations they apply (kGivensRotations).
+template <class T>
+bool apply_givens(Matrix<T>& a, Matrix<T>* q, std::size_t p, std::size_t j,
+                  std::size_t col) {
+  if (is_zero(a(j, col))) return false;
+  const auto [c, s] = givens_rotation(a(p, col), a(j, col), p, j, col);
+  rotate_row_pair(a.row(p) + col, a.row(j) + col, c, s, a.cols() - col);
+  a(j, col) = T(0);  // exact by construction; avoids residual roundoff dust
   if (q != nullptr) {
+    // Accumulate Q = G_1^T G_2^T ... : apply the inverse rotation to columns.
     for (std::size_t t = 0; t < q->rows(); ++t) {
       T qi = (*q)(t, p);
       T qj = (*q)(t, j);
@@ -113,27 +93,79 @@ bool apply_givens(Matrix<T>& a, Matrix<T>* q, std::size_t p, std::size_t j,
   return true;
 }
 
-// Storage-generic natural-order rotation: computes c/s from the diagonal
-// and target entries, then rotates the row pair through the backend's
-// rotate_rows — the identical expression sequence as the dense
-// apply_givens loop, so dense and sparse runs agree bit for bit.
+// Natural order: the rotation eliminating a(j, i) against pivot row i.
+template <class T>
+bool apply_givens(Matrix<T>& a, Matrix<T>* q, std::size_t i, std::size_t j) {
+  return apply_givens(a, q, i, j, i);
+}
+
+// Storage-generic natural-order rotation: the same c/s, then the backend's
+// full-width rotate_rows, so dense and sparse reduction runs (and their
+// checkpoints) agree bit for bit.
 template <RotatableStorage Storage>
 bool apply_givens_rows(Storage& a, std::size_t i, std::size_t j) {
   using T = typename Storage::value_type;
   if (is_zero(a.get(j, i))) return false;
-  T r = field_sqrt(a.get(i, i) * a.get(i, i) + a.get(j, i) * a.get(j, i));
-  if (!field_finite(r) || is_zero(r)) {
-    throw GuardAbort(GuardAbort::Kind::kInvariant, i,
-                     "degenerate Givens rotation at (" + std::to_string(j) +
-                         ", " + std::to_string(i) + "): |r| is " +
-                         (is_zero(r) ? "zero" : "non-finite"));
-  }
+  const auto [c, s] = givens_rotation(a.get(i, i), a.get(j, i), i, j, i);
   PFACT_COUNT(kGivensRotations);
-  T c = a.get(i, i) / r;
-  T s = a.get(j, i) / r;
   a.rotate_rows(i, j, c, s);
   a.set(j, i, T(0));  // exact by construction; avoids residual roundoff dust
   return true;
+}
+
+// The Sameh–Kuck body shared by givens_qr_sameh_kuck and its parallel
+// twin; `exec` runs each stage's rotations (see factor/executor.h).
+template <class T, class Exec>
+QrResult<T> sameh_kuck(Matrix<T> a, bool accumulate_q, const Exec& exec) {
+  QrResult<T> res;
+  Matrix<T> q;
+  if (accumulate_q) q = Matrix<T>::identity(a.rows());
+  const std::size_t n = a.rows();
+  const std::size_t kmax = std::min(a.rows(), a.cols());
+  const std::size_t stages = n < 2 || kmax == 0 ? 0 : n - 1 + 2 * (kmax - 1);
+  std::vector<std::size_t> members;  // column i of each rotation in a stage
+  for (std::size_t stage = 0; stage < stages; ++stage) {
+    PFACT_SPAN("givens.stage");
+    // Members of this stage: i such that j = n-1-stage+2i is a valid row.
+    members.clear();
+    for (std::size_t i = 0; i < kmax; ++i) {
+      const std::size_t base = n - 1 + 2 * i;
+      if (base >= stage && base - stage > i && base - stage < n) {
+        members.push_back(i);
+      }
+    }
+    if (members.empty()) continue;
+    std::atomic<std::size_t> applied{0};
+    exec(0, members.size(), a.cols() - members[members.size() / 2],
+         [&](std::size_t lo, std::size_t hi) {
+           std::size_t done = 0;
+           for (std::size_t m = lo; m < hi; ++m) {
+             const std::size_t i = members[m];
+             const std::size_t j = n - 1 + 2 * i - stage;
+             // Annihilate (j,i) against its upper neighbour row j-1 (whose
+             // own column-i entry is still live unless j-1 == i, where it
+             // is the diagonal). Rotations of one stage touch pairwise
+             // disjoint row pairs.
+             if (apply_givens<T>(a, accumulate_q ? &q : nullptr, j - 1, j,
+                                 i)) {
+               ++done;
+             }
+           }
+           PFACT_COUNT_N(kGivensRotations, done);
+           applied.fetch_add(done, std::memory_order_relaxed);
+         });
+    if (const std::size_t stage_rotations = applied.load(); stage_rotations) {
+      res.rotations += stage_rotations;
+      ++res.stages;
+      PFACT_COUNT(kGivensStages);
+    }
+  }
+  res.r = std::move(a);
+  if (accumulate_q) {
+    res.q = std::move(q);
+    res.has_q = true;
+  }
+  return res;
 }
 
 }  // namespace detail
@@ -189,11 +221,14 @@ QrResult<T> givens_qr(Matrix<T> a, bool accumulate_q = false) {
   if (accumulate_q) q = Matrix<T>::identity(a.rows());
   const std::size_t kmax = std::min(a.rows(), a.cols());
   for (std::size_t i = 0; i < kmax; ++i) {
+    std::size_t done = 0;
     for (std::size_t j = i + 1; j < a.rows(); ++j) {
       if (detail::apply_givens<T>(a, accumulate_q ? &q : nullptr, i, j)) {
-        ++res.rotations;
+        ++done;
       }
     }
+    PFACT_COUNT_N(kGivensRotations, done);
+    res.rotations += done;
   }
   res.stages = res.rotations;
   res.r = std::move(a);
@@ -211,49 +246,7 @@ QrResult<T> givens_qr(Matrix<T> a, bool accumulate_q = false) {
 // rows() + ... = O(n) instead of the Theta(n^2) sequential rotation count.
 template <class T>
 QrResult<T> givens_qr_sameh_kuck(Matrix<T> a, bool accumulate_q = false) {
-  QrResult<T> res;
-  Matrix<T> q;
-  if (accumulate_q) q = Matrix<T>::identity(a.rows());
-  const std::size_t n = a.rows();
-  const std::size_t kmax = std::min(a.rows(), a.cols());
-  if (n < 2) {
-    res.r = std::move(a);
-    if (accumulate_q) {
-      res.q = std::move(q);
-      res.has_q = true;
-    }
-    return res;
-  }
-  const std::size_t max_stage = (n - 2) + 2 * (kmax - 1);
-  for (std::size_t stage = 0; stage <= max_stage; ++stage) {
-    PFACT_SPAN("givens.stage");
-    bool any = false;
-    // Members of this stage: i such that j = n-1-stage+2i is a valid row.
-    for (std::size_t i = 0; i < kmax; ++i) {
-      std::size_t base = n - 1 + 2 * i;
-      if (base < stage) continue;
-      std::size_t j = base - stage;
-      if (j <= i || j >= n) continue;
-      // Annihilate (j,i) against its upper neighbour row j-1 (whose own
-      // column-i entry is still live unless j-1 == i, where it is the
-      // diagonal): pairwise scheme.
-      if (detail::apply_givens<T>(a, accumulate_q ? &q : nullptr, j - 1, j,
-                                  i)) {
-        ++res.rotations;
-        any = true;
-      }
-    }
-    if (any) {
-      ++res.stages;
-      PFACT_COUNT(kGivensStages);
-    }
-  }
-  res.r = std::move(a);
-  if (accumulate_q) {
-    res.q = std::move(q);
-    res.has_q = true;
-  }
-  return res;
+  return detail::sameh_kuck(std::move(a), accumulate_q, InlineRows{});
 }
 
 }  // namespace pfact::factor

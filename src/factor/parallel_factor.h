@@ -10,136 +10,53 @@
 //    contrast between "parallelize the step" and "parallelize the chain"
 //    is exactly the paper's point.
 //
-// Results are bit-identical to the sequential versions (same operations,
-// same order within each row), which the tests assert.
+// Each parallel engine is its sequential twin's body run with PooledRows
+// instead of InlineRows (factor/executor.h): the same operations in the
+// same order within each row, so results are bit-identical, which the
+// tests assert.
 
-#include <vector>
+#include <algorithm>
+#include <cstddef>
+#include <utility>
 
 #include "factor/gaussian.h"
 #include "factor/givens.h"
-#include "obs/counters.h"
-#include "obs/trace.h"
 #include "parallel/thread_pool.h"
 
 namespace pfact::factor {
+
+// Runs a step's pieces through par::parallel_for_ranges. A piece is worth
+// handing to another lane only if it holds at least kMinChunkWork scalar
+// element operations: below that an empty sweep's few microseconds of
+// dispatch cost more than the piece, and the step runs inline.
+struct PooledRows {
+  static constexpr std::size_t kMinChunkWork = 8192;
+
+  par::ThreadPool* pool = nullptr;
+
+  template <class Body>
+  void operator()(std::size_t begin, std::size_t end, std::size_t work,
+                  Body&& body) const {
+    const std::size_t grain =
+        (kMinChunkWork + std::max<std::size_t>(1, work) - 1) /
+        std::max<std::size_t>(1, work);
+    par::parallel_for_ranges(begin, end, grain, body, pool);
+  }
+};
 
 // Sameh-Kuck GQR with each stage's rotations applied concurrently.
 template <class T>
 QrResult<T> givens_qr_sameh_kuck_parallel(Matrix<T> a,
                                           par::ThreadPool* pool = nullptr) {
-  QrResult<T> res;
-  const std::size_t n = a.rows();
-  const std::size_t kmax = std::min(a.rows(), a.cols());
-  if (n < 2) {
-    res.r = std::move(a);
-    return res;
-  }
-  const std::size_t max_stage = (n - 2) + 2 * (kmax - 1);
-  std::size_t rotations = 0;
-  for (std::size_t stage = 0; stage <= max_stage; ++stage) {
-    // Collect this stage's (row j, column i) rotation sites.
-    std::vector<std::pair<std::size_t, std::size_t>> sites;
-    for (std::size_t i = 0; i < kmax; ++i) {
-      std::size_t base = n - 1 + 2 * i;
-      if (base < stage) continue;
-      std::size_t j = base - stage;
-      if (j <= i || j >= n) continue;
-      sites.emplace_back(j, i);
-    }
-    if (sites.empty()) continue;
-    PFACT_SPAN("gqr.stage");
-    std::vector<char> applied(sites.size(), 0);
-    par::parallel_for(
-        0, sites.size(),
-        [&](std::size_t s) {
-          auto [j, i] = sites[s];
-          // Rows (j-1, j): disjoint across the stage by construction.
-          applied[s] = detail::apply_givens<T>(a, nullptr, j - 1, j, i);
-        },
-        pool);
-    bool any = false;
-    for (std::size_t s = 0; s < sites.size(); ++s) {
-      if (applied[s]) {
-        ++rotations;
-        any = true;
-      }
-    }
-    if (any) ++res.stages;
-  }
-  res.rotations = rotations;
-  res.r = std::move(a);
-  return res;
+  return detail::sameh_kuck(std::move(a), false, PooledRows{pool});
 }
 
 // GE with the given pivoting strategy, parallelizing each step's rank-1
-// update over rows. The pivot DECISIONS stay sequential: Theorems 3.1-3.4
-// say that chain cannot be compressed.
+// update over rows.
 template <class T>
 LuResult<T> ge_factor_parallel_rows(Matrix<T> a, PivotStrategy strategy,
                                     par::ThreadPool* pool = nullptr) {
-  const std::size_t n = a.rows();
-  const std::size_t m = a.cols();
-  const std::size_t kmax = std::min(n, m);
-  LuResult<T> res;
-  res.row_perm = Permutation(n);
-  for (std::size_t k = 0; k < kmax; ++k) {
-    PFACT_SPAN("ge.step");
-    PFACT_COUNT(kElimSteps);
-    std::size_t piv = detail::select_pivot(a, k, strategy);
-    PivotEvent e;
-    e.column = k;
-    if (piv == n) {
-      if (strategy == PivotStrategy::kNone) {
-        e.action = PivotAction::kFail;
-        res.trace.record(e);
-        res.ok = false;
-        break;
-      }
-      e.action = PivotAction::kSkip;
-      detail::count_pivot_event(e);
-      res.trace.record(e);
-      continue;
-    }
-    e.pivot_pos = piv;
-    e.pivot_row = res.row_perm[piv];
-    if (piv == k) {
-      e.action = PivotAction::kKeep;
-    } else if (strategy == PivotStrategy::kMinimalShift) {
-      e.action = PivotAction::kShift;
-      a.cycle_row_up(k, piv);
-      res.row_perm.cycle_up(k, piv);
-    } else {
-      e.action = PivotAction::kSwap;
-      a.swap_rows(k, piv);
-      res.row_perm.swap(k, piv);
-    }
-    detail::count_pivot_event(e);
-    res.trace.record(e);
-    par::parallel_for(
-        k + 1, n,
-        [&](std::size_t i) {
-          if (is_zero(a(i, k))) return;
-          PFACT_COUNT(kRowUpdates);
-          PFACT_COUNT_N(kRowUpdateElems, m - k - 1);
-          T f = a(i, k) / a(k, k);
-          a(i, k) = f;
-          for (std::size_t j = k + 1; j < m; ++j) a(i, j) -= f * a(k, j);
-        },
-        pool);
-  }
-  res.l = Matrix<T>(n, n);
-  res.u = Matrix<T>(n, m);
-  for (std::size_t i = 0; i < n; ++i) {
-    res.l(i, i) = T(1);
-    for (std::size_t j = 0; j < m; ++j) {
-      if (j < i && j < kmax) {
-        res.l(i, j) = a(i, j);
-      } else {
-        res.u(i, j) = a(i, j);
-      }
-    }
-  }
-  return res;
+  return detail::lu_factor(std::move(a), strategy, PooledRows{pool});
 }
 
 }  // namespace pfact::factor

@@ -78,9 +78,9 @@ enum class Counter : std::size_t {
   kBigIntDivs,
 
   // --- parallel/ ------------------------------------------------------------
-  kPoolTasksSubmitted,
-  kPoolChunksRun,      // parallel_for chunks executed
-  kParallelForCalls,
+  kPoolTasksSubmitted,  // tasks accepted by ThreadPool::submit
+  kPoolChunksRun,       // parallel_for chunks executed (inline run: 1)
+  kParallelForCalls,    // parallel_for calls over a non-empty range
 
   // --- nc/ -------------------------------------------------------------------
   kRankQueries,        // independent prefix-rank computations issued

@@ -1,6 +1,8 @@
 #include "parallel/thread_pool.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <stdexcept>
 
@@ -9,14 +11,133 @@
 
 namespace pfact::par {
 
+namespace {
+
+// A chunk claim is one bit of a 64-bit word, so a sweep has at most 64
+// chunks (pools larger than that leave the extra workers to tasks).
+constexpr std::size_t kMaxChunks = 64;
+constexpr std::size_t kNoChunk = kMaxChunks;
+
+// How long an idle lane worker watches for the next sweep before parking.
+// An elimination step's sequential part (pivot search, row swap) takes a
+// few microseconds, so this keeps workers hot across a whole
+// factorization and lets them sleep soon after it ends.
+constexpr auto kSpinFor = std::chrono::microseconds(50);
+
+// Pause-spins before a waiter starts yielding its core.
+constexpr unsigned kPauseSpins = 64;
+
+// Set on pool workers (nested parallel_for calls run inline, or they would
+// wait on the pool they occupy) and on a caller while it runs chunks of
+// its own sweep (a nested call from its lane runs inline for the same
+// reason).
+thread_local bool g_in_pool_worker = false;
+thread_local bool g_in_sweep = false;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Waits for `done()`: a few pause-spins, then sched_yield — which hands the
+// core to a pool thread that shares it and costs one syscall when none
+// does — then short naps, so a wait behind a blocked pool burns no core.
+template <class Done>
+void wait_until(Done done) {
+  for (unsigned spins = 0; !done(); ++spins) {
+    if (spins < kPauseSpins) {
+      cpu_relax();
+    } else if (spins < kPauseSpins + 4096) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+  }
+}
+
+}  // namespace
+
+// One parallel_for in flight. Lives on the caller's stack; workers reach it
+// through ThreadPool::sweep_ only while they are counted in users_.
+struct ThreadPool::Sweep {
+  Sweep(std::size_t begin, std::size_t n, std::size_t chunks,
+        detail::ChunkFn chunk, void* body, const CancellationToken* token)
+      : begin(begin), n(n), chunks(chunks), chunk(chunk), body(body),
+        stop{failed, token}, remaining(chunks) {}
+
+  const std::size_t begin;
+  const std::size_t n;
+  const std::size_t chunks;
+  const detail::ChunkFn chunk;
+  void* const body;
+  std::atomic<bool> failed{false};
+  const detail::StopFlag stop;
+  std::atomic<std::uint64_t> claimed{0};  // bit c: chunk c is taken
+  std::atomic<std::size_t> remaining;     // counting latch over chunks
+  std::atomic<bool> picked_up{false};     // a worker has joined
+  // Slot c is written only by the thread that ran chunk c, before its
+  // release decrement of `remaining`; read by the caller after the latch.
+  std::array<std::exception_ptr, kMaxChunks> errors{};
+
+  // Chunk c covers [lo(c), lo(c + 1)): balanced to within one iteration.
+  std::size_t lo(std::size_t c) const { return begin + c * n / chunks; }
+
+  bool claim(std::size_t c) {
+    const std::uint64_t bit = std::uint64_t{1} << c;
+    return (claimed.fetch_or(bit, std::memory_order_acq_rel) & bit) == 0;
+  }
+
+  // Lane `home` takes its own chunk first, then any chunk still unclaimed.
+  std::size_t next(std::size_t home) {
+    if (home < chunks && claim(home)) return home;
+    const std::uint64_t all =
+        chunks == kMaxChunks ? ~std::uint64_t{0}
+                             : (std::uint64_t{1} << chunks) - 1;
+    for (;;) {
+      const std::uint64_t open =
+          ~claimed.load(std::memory_order_relaxed) & all;
+      if (open == 0) return kNoChunk;
+      const std::size_t c = static_cast<std::size_t>(std::countr_zero(open));
+      if (claim(c)) return c;
+    }
+  }
+
+  void run(std::size_t c) {
+    PFACT_COUNT(kPoolChunksRun);
+    PFACT_SPAN("pool.chunk");
+    if (!stop()) {
+      try {
+        chunk(body, lo(c), lo(c + 1), stop);
+      } catch (...) {
+        errors[c] = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+    remaining.fetch_sub(1, std::memory_order_acq_rel);
+  }
+
+  void work(std::size_t home) {
+    for (std::size_t c = next(home); c != kNoChunk; c = next(home)) run(c);
+  }
+};
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
+  lanes_ = std::min(std::max<std::size_t>(2, threads), kMaxChunks);
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(i + 1); });
   }
+  // A new thread starts on its creator's core. Lane workers park before
+  // their first sweep, so the first publish wakes them, and a woken thread
+  // is placed on an idle core: the lanes start out spread, not stacked.
+  const std::size_t lane_workers = std::min(threads, lanes_ - 1);
+  wait_until([&] { return parked_.load() >= lane_workers; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -64,28 +185,79 @@ std::size_t ThreadPool::drain_pending() {
   return drained;
 }
 
-namespace {
-// Set while executing inside a pool worker: nested parallel_for calls must
-// run inline, or they would enqueue work on the pool they are blocking.
-thread_local bool g_in_pool_worker = false;
-}  // namespace
-
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t lane) {
   g_in_pool_worker = true;
-  for (;;) {
+  const bool sweeps = lane < lanes_;
+  // Generation 0 is the pool's birth: a sweep published before this thread
+  // first runs must still look new to it.
+  std::uint64_t seen = 0;
+  for (bool first = true;; first = false) {
+    if (sweeps && !first) {
+      // Watch for the next sweep, yielding so a caller that shares this
+      // core keeps running, then park.
+      const auto until = std::chrono::steady_clock::now() + kSpinFor;
+      for (unsigned i = 0; generation_.load(std::memory_order_acquire) == seen;
+           ++i) {
+        if (i < kPauseSpins) {
+          cpu_relax();
+        } else if (std::chrono::steady_clock::now() < until) {
+          std::this_thread::yield();
+        } else {
+          break;
+        }
+      }
+    }
     std::packaged_task<void()> task;
     {
       MutexLock lock(mu_);
+      if (sweeps) parked_.fetch_add(1);
       // Plain wait loop (no predicate lambda): the guarded reads of stop_
       // and queue_ stay in this function's body, where the thread-safety
-      // analysis can see the held capability.
-      while (!stop_ && queue_.empty()) lock.wait(cv_);
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop();
+      // analysis can see the held capability. parked_ is raised before the
+      // generation check, and publish() bumps the generation before it
+      // reads parked_, so a sweep can never slip past a parking worker.
+      while (!stop_ && queue_.empty() &&
+             (!sweeps || generation_.load() == seen)) {
+        lock.wait(cv_);
+      }
+      if (sweeps) parked_.fetch_sub(1);
+      if (!queue_.empty()) {
+        task = std::move(queue_.front());
+        queue_.pop();
+      } else if (stop_) {
+        return;
+      }
     }
-    task();  // exceptions are captured into the task's future
+    if (task.valid()) {
+      task();  // exceptions are captured into the task's future
+      continue;
+    }
+    seen = generation_.load(std::memory_order_acquire);
+    users_.fetch_add(1);
+    if (Sweep* s = sweep_.load()) {
+      s->picked_up.store(true, std::memory_order_release);
+      s->work(lane);
+    }
+    users_.fetch_sub(1, std::memory_order_release);
   }
+}
+
+bool ThreadPool::publish(Sweep* s) {
+  Sweep* none = nullptr;
+  if (!sweep_.compare_exchange_strong(none, s)) return false;
+  generation_.fetch_add(1);
+  if (parked_.load() > 0) {
+    MutexLock lock(mu_);
+    cv_.notify_all();
+  }
+  return true;
+}
+
+void ThreadPool::retire() {
+  sweep_.store(nullptr);
+  // A worker that loaded the sweep is counted in users_ until it lets go;
+  // once the count drains, no thread can reach the caller's descriptor.
+  wait_until([this] { return users_.load() == 0; });
 }
 
 ThreadPool& ThreadPool::global() {
@@ -93,115 +265,55 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
-ParallelOutcome parallel_for_report(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t)>& fn, ThreadPool* pool,
-    const CancellationToken* token) {
+namespace detail {
+
+ParallelOutcome sweep(std::size_t begin, std::size_t end, std::size_t grain,
+                      ChunkFn chunk, void* body, ThreadPool* pool,
+                      const CancellationToken* token) {
   ParallelOutcome out;
   if (begin >= end) return out;
   PFACT_COUNT(kParallelForCalls);
   PFACT_SPAN("parallel_for");
-
-  // `failed` implements fail-fast: once any chunk throws, the others skip
-  // their remaining iterations at the next boundary. The already-thrown
-  // exceptions are still all collected.
-  std::atomic<bool> failed{false};
-  auto should_stop = [&] {
-    return failed.load(std::memory_order_relaxed) ||
-           (token != nullptr && token->cancelled());
-  };
-
-  auto run_range = [&](std::size_t lo, std::size_t hi) {
-    PFACT_COUNT(kPoolChunksRun);
-    PFACT_SPAN("pool.chunk");
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (should_stop()) return;
-      fn(i);
-    }
-  };
-
-  if (g_in_pool_worker) {
-    // Nested parallelism: run inline to avoid deadlocking the pool.
-    try {
-      run_range(begin, end);
-    } catch (...) {
-      out.errors.push_back(std::current_exception());
-    }
-    out.cancelled = token != nullptr && token->cancelled();
-    return out;
+  const std::size_t n = end - begin;
+  // Two chunks of at least `grain` iterations, or the range runs inline.
+  const std::size_t fit = n / std::max<std::size_t>(1, grain);
+  const bool split = fit >= 2 && !g_in_pool_worker && !g_in_sweep;
+  if (split && pool == nullptr) pool = &ThreadPool::global();
+  const std::size_t chunks = split ? std::min(pool->lanes(), fit) : 1;
+  ThreadPool::Sweep s(begin, n, chunks, chunk, body, token);
+  if (chunks < 2 || !pool->publish(&s)) {
+    // Inline: nested, under the grain, or another sweep holds the pool.
+    s.work(0);
+  } else {
+    // Join only once a worker holds the sweep. The hand-off is what puts a
+    // parked worker back on a core of its own before the caller starts on
+    // lane 0, and a sweep stopped before any pickup is drained here, its
+    // chunks seeing the stop and running nothing.
+    wait_until([&s] {
+      return s.picked_up.load(std::memory_order_acquire) || s.stop();
+    });
+    g_in_sweep = true;
+    s.work(0);
+    g_in_sweep = false;
+    wait_until([&s] {
+      return s.remaining.load(std::memory_order_acquire) == 0;
+    });
+    pool->retire();
   }
-  if (pool == nullptr) pool = &ThreadPool::global();
-  std::size_t n = end - begin;
-  std::size_t chunks = std::min(n, pool->size() * 4);
-  if (chunks <= 1) {
-    try {
-      run_range(begin, end);
-    } catch (...) {
-      out.errors.push_back(std::current_exception());
-    }
-    out.cancelled = token != nullptr && token->cancelled();
-    return out;
-  }
-  std::vector<std::future<void>> futs;
-  futs.reserve(chunks);
-  std::size_t per = (n + chunks - 1) / chunks;
   for (std::size_t c = 0; c < chunks; ++c) {
-    std::size_t lo = begin + c * per;
-    std::size_t hi = std::min(end, lo + per);
-    if (lo >= hi) break;
-    futs.push_back(pool->submit([lo, hi, &run_range, &failed] {
-      try {
-        run_range(lo, hi);
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        throw;  // recaptured by the packaged_task's future
-      }
-    }));
-  }
-  // Wait for EVERY chunk before returning: the loop body (and anything it
-  // captures by reference) must not be destroyed while a chunk still runs.
-  // Fail-fast drain: the moment the sweep is cancelled (token fired) or a
-  // chunk has thrown, any queued-but-unstarted chunks are pulled off the
-  // pool queue and run inline here — they observe should_stop() at their
-  // first iteration boundary and return immediately — so cancellation never
-  // waits behind unrelated long-running work and never leaks a queued task.
-  bool drained = false;
-  for (auto& f : futs) {
-    if (!drained && should_stop()) {
-      pool->drain_pending();
-      drained = true;
-    }
-    if (!drained && token != nullptr) {
-      // A token may fire while we block; poll so the one-time drain above
-      // still happens promptly. Without a token only chunk failure can
-      // trigger fail-fast, which the check at the top of the loop covers.
-      while (f.wait_for(std::chrono::milliseconds(1)) !=
-             std::future_status::ready) {
-        if (should_stop()) {
-          pool->drain_pending();
-          drained = true;
-          break;
-        }
-      }
-    }
-    try {
-      f.get();
-    } catch (...) {
-      out.errors.push_back(std::current_exception());
-    }
+    if (s.errors[c]) out.errors.push_back(s.errors[c]);
   }
   out.cancelled = token != nullptr && token->cancelled();
   return out;
 }
 
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  ThreadPool* pool, const CancellationToken* token) {
-  ParallelOutcome out = parallel_for_report(begin, end, fn, pool, token);
+void rethrow(const ParallelOutcome& out) {
   if (std::exception_ptr first = out.first_error()) {
     std::rethrow_exception(first);  // first one wins; none were dropped
   }
   if (out.cancelled) throw OperationCancelled();
 }
+
+}  // namespace detail
 
 }  // namespace pfact::par

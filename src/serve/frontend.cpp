@@ -288,7 +288,12 @@ void Frontend::event_loop() {
       draining = true;
     }
     if (draining && listeners_open) {
-      // Stop accepting: close the doors, keep serving who is inside.
+      // Stop accepting: close the doors, keep serving who is inside. A
+      // client whose connect already completed sits in the listen backlog
+      // and may have written a request; accept it first, or it would wait
+      // out its deadline on a connection nobody ever reads.
+      if (unix_fd_ >= 0) accept_ready(unix_fd_);
+      if (tcp_fd_ >= 0) accept_ready(tcp_fd_);
       if (unix_fd_ >= 0) ::shutdown(unix_fd_, SHUT_RDWR);
       if (tcp_fd_ >= 0) ::shutdown(tcp_fd_, SHUT_RDWR);
       listeners_open = false;

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
+
+#include "obs/counters.h"
 
 namespace pfact::par {
 namespace {
@@ -107,6 +111,95 @@ TEST(ParallelFor, ThrowDoesNotPoisonThePoolForLaterSweeps) {
   std::atomic<int> ran{0};
   parallel_for(0, 32, [&](std::size_t) { ++ran; }, &pool);
   EXPECT_EQ(ran.load(), 32);
+}
+
+// --- the sweep fast path ----------------------------------------------------
+
+TEST(SweepFastPath, BackToBackSweepsHitEveryIndexExactlyOnce) {
+  // One sweep per elimination step is the hot pattern: the generation
+  // counter, chunk claims and latch must hand every index to exactly one
+  // lane, sweep after sweep, with no stale claim leaking into the next.
+  ThreadPool pool(4);
+  constexpr int kSweeps = 20000;
+  std::vector<std::atomic<int>> hits(64);
+  for (int s = 0; s < kSweeps; ++s) {
+    parallel_for(0, hits.size(), [&](std::size_t i) { ++hits[i]; }, &pool);
+  }
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), kSweeps) << i;
+  }
+}
+
+TEST(SweepFastPath, RangeUnderTheGrainRunsOnTheCallingThread) {
+  ThreadPool pool(4);
+  const std::thread::id me = std::this_thread::get_id();
+  // 37 iterations < 2 * 19: no two chunks of the grain fit, so the whole
+  // range is one body call on this thread.
+  int calls = 0;
+  parallel_for_ranges(
+      3, 40, 19,
+      [&](std::size_t lo, std::size_t hi) {
+        ++calls;
+        EXPECT_EQ(lo, 3u);
+        EXPECT_EQ(hi, 40u);
+        EXPECT_EQ(std::this_thread::get_id(), me);
+      },
+      &pool);
+  EXPECT_EQ(calls, 1);
+  // One more iteration and two chunks fit: the range is split.
+  std::atomic<int> split_calls{0};
+  parallel_for_ranges(
+      3, 41, 19, [&](std::size_t, std::size_t) { ++split_calls; }, &pool);
+  EXPECT_EQ(split_calls.load(), 2);
+}
+
+TEST(SweepFastPath, NestedCallFromTheCallersLaneRunsInline) {
+  // The caller works lane 0 of its own sweep; a parallel_for it starts from
+  // there must not wait on the pool its sweep occupies. The worker naps in
+  // its chunk so it cannot also take the caller's before the caller joins.
+  ThreadPool pool(2);
+  const std::thread::id me = std::this_thread::get_id();
+  std::atomic<int> nested_on_caller{0};
+  std::atomic<int> inner_total{0};
+  for (int rep = 0; rep < 20; ++rep) {
+    parallel_for(
+        0, 2,
+        [&](std::size_t) {
+          if (std::this_thread::get_id() != me) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            return;
+          }
+          parallel_for(
+              0, 100,
+              [&](std::size_t) {
+                EXPECT_EQ(std::this_thread::get_id(), me);
+                ++inner_total;
+              },
+              &pool);
+          ++nested_on_caller;
+        },
+        &pool);
+  }
+  EXPECT_GT(nested_on_caller.load(), 0);
+  EXPECT_EQ(inner_total.load(), 100 * nested_on_caller.load());
+}
+
+TEST(SweepFastPath, PoolCountersCountWhatTheyName) {
+  if (!PFACT_OBS_ENABLED) GTEST_SKIP() << "observability compiled out";
+  using obs::Counter;
+  ThreadPool pool(4);
+  ASSERT_EQ(pool.lanes(), 4u);
+  obs::ScopedCounters sc;
+  parallel_for(0, 64, [](std::size_t) {}, &pool);  // 1 call, 4 chunks
+  parallel_for(0, 1, [](std::size_t) {}, &pool);   // 1 call, 1 inline chunk
+  parallel_for(7, 7, [](std::size_t) {}, &pool);   // empty: nothing
+  parallel_for_ranges(0, 100, 60, [](std::size_t, std::size_t) {},
+                      &pool);                        // 1 call, 1 inline chunk
+  pool.submit([] {}).get();                          // 1 task, no sweep
+  const obs::CounterDelta d = sc.delta();
+  EXPECT_EQ(d[Counter::kParallelForCalls], 3u);
+  EXPECT_EQ(d[Counter::kPoolChunksRun], 6u);
+  EXPECT_EQ(d[Counter::kPoolTasksSubmitted], 1u);
 }
 
 }  // namespace

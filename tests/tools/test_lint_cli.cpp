@@ -21,6 +21,10 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <vector>
+
+#include <unistd.h>
 
 namespace {
 
@@ -46,10 +50,31 @@ LintResult run_lint(const std::string& args) {
   return res;
 }
 
+// A tree private to this test and process: ctest runs every test as its own
+// process, possibly in parallel, so a directory keyed by the overlay alone
+// would be removed and rewritten by another test mid-lint. Trees are
+// deleted when the process exits.
+fs::path fixture_tree_dir(const std::string& overlay) {
+  struct Trees {
+    std::vector<fs::path> paths;
+    ~Trees() {
+      std::error_code ec;
+      for (const fs::path& p : paths) fs::remove_all(p, ec);
+    }
+  };
+  static Trees trees;
+  const testing::TestInfo* test =
+      testing::UnitTest::GetInstance()->current_test_info();
+  const std::string key = overlay + "_" + test->test_suite_name() + "." +
+                          test->name() + "_" + std::to_string(getpid());
+  trees.paths.push_back(fs::path(testing::TempDir()) /
+                        ("pfact_lint_cli_" + key));
+  return trees.paths.back();
+}
+
 fs::path materialize(const std::string& overlay) {
   const fs::path fixtures(PFACT_LINT_FIXTURES);
-  const fs::path dst =
-      fs::path(testing::TempDir()) / ("pfact_lint_cli_" + overlay);
+  const fs::path dst = fixture_tree_dir(overlay);
   fs::remove_all(dst);
   fs::copy(fixtures / "base", dst, fs::copy_options::recursive);
   if (!overlay.empty() && overlay != "base") {
