@@ -123,6 +123,7 @@ QrResult<T> sameh_kuck(Matrix<T> a, bool accumulate_q, const Exec& exec) {
   const std::size_t n = a.rows();
   const std::size_t kmax = std::min(a.rows(), a.cols());
   const std::size_t stages = n < 2 || kmax == 0 ? 0 : n - 1 + 2 * (kmax - 1);
+  Matrix<T>* const qp = accumulate_q ? &q : nullptr;
   std::vector<std::size_t> members;  // column i of each rotation in a stage
   for (std::size_t stage = 0; stage < stages; ++stage) {
     PFACT_SPAN("givens.stage");
@@ -146,10 +147,7 @@ QrResult<T> sameh_kuck(Matrix<T> a, bool accumulate_q, const Exec& exec) {
              // own column-i entry is still live unless j-1 == i, where it
              // is the diagonal). Rotations of one stage touch pairwise
              // disjoint row pairs.
-             if (apply_givens<T>(a, accumulate_q ? &q : nullptr, j - 1, j,
-                                 i)) {
-               ++done;
-             }
+             if (apply_givens(a, qp, j - 1, j, i)) ++done;
            }
            PFACT_COUNT_N(kGivensRotations, done);
            applied.fetch_add(done, std::memory_order_relaxed);
