@@ -5,6 +5,12 @@
 #include <bit>
 #include <chrono>
 #include <stdexcept>
+#include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -56,6 +62,47 @@ void wait_until(Done done) {
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
   }
+}
+
+// The core the calling thread runs on, or -1 where that is unknown.
+int current_core() {
+#if defined(__linux__)
+  return sched_getcpu();
+#else
+  return -1;
+#endif
+}
+
+// Moves a lane worker onto the lane-th allowed core after `home`, the core
+// its pool was created on. A new thread starts on its creator's core, and
+// a scheduler that does not balance load (a cpuset with load balancing
+// off) never moves a busy one, so every lane would share that core. The
+// thread is pinned only for the move: its full mask comes straight back,
+// and a balancing scheduler stays free to migrate it later.
+void start_on_own_core(std::size_t lane, int home) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  if (pthread_getaffinity_np(pthread_self(), sizeof allowed, &allowed) != 0) {
+    return;
+  }
+  std::vector<int> cores;
+  std::size_t base = 0;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (!CPU_ISSET(c, &allowed)) continue;
+    if (c == home) base = cores.size();
+    cores.push_back(c);
+  }
+  if (cores.size() < 2) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cores[(base + lane) % cores.size()], &one);
+  if (pthread_setaffinity_np(pthread_self(), sizeof one, &one) == 0) {
+    pthread_setaffinity_np(pthread_self(), sizeof allowed, &allowed);
+  }
+#else
+  (void)lane;
+  (void)home;
+#endif
 }
 
 }  // namespace
@@ -130,14 +177,13 @@ ThreadPool::ThreadPool(std::size_t threads) {
   }
   lanes_ = std::min(std::max<std::size_t>(2, threads), kMaxChunks);
   workers_.reserve(threads);
+  const int home = current_core();
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i + 1); });
+    workers_.emplace_back([this, i, home] {
+      if (i + 1 < lanes_) start_on_own_core(i + 1, home);
+      worker_loop(i + 1);
+    });
   }
-  // A new thread starts on its creator's core. Lane workers park before
-  // their first sweep, so the first publish wakes them, and a woken thread
-  // is placed on an idle core: the lanes start out spread, not stacked.
-  const std::size_t lane_workers = std::min(threads, lanes_ - 1);
-  wait_until([&] { return parked_.load() >= lane_workers; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -191,8 +237,8 @@ void ThreadPool::worker_loop(std::size_t lane) {
   // Generation 0 is the pool's birth: a sweep published before this thread
   // first runs must still look new to it.
   std::uint64_t seen = 0;
-  for (bool first = true;; first = false) {
-    if (sweeps && !first) {
+  for (;;) {
+    if (sweeps) {
       // Watch for the next sweep, yielding so a caller that shares this
       // core keeps running, then park.
       const auto until = std::chrono::steady_clock::now() + kSpinFor;

@@ -147,9 +147,10 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   // Threads one sweep runs on, the caller included: max(2, size()). Lane 0
-  // is the caller and worker w serves lane w + 1; a worker without a lane
-  // runs only submitted tasks. A one-thread pool still has two lanes,
-  // because the caller joins a sweep only after its worker picks it up.
+  // is the caller and worker w serves lane w + 1, starting on a core of
+  // its own (Linux); a worker without a lane runs only submitted tasks. A
+  // one-thread pool still has two lanes, because the caller joins a sweep
+  // only after its worker picks it up.
   std::size_t lanes() const { return lanes_; }
 
   // Enqueues a task; the returned future resolves when it has run.
