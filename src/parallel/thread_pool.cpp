@@ -97,6 +97,8 @@ void start_on_own_core(std::size_t lane, int home) {
   CPU_ZERO(&one);
   CPU_SET(cores[(base + lane) % cores.size()], &one);
   if (pthread_setaffinity_np(pthread_self(), sizeof one, &one) == 0) {
+    // Should the restore fail, the worker stays pinned to its core: slower
+    // to adapt to load, still correct.
     pthread_setaffinity_np(pthread_self(), sizeof allowed, &allowed);
   }
 #else
