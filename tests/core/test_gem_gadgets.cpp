@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "factor/gaussian.h"
 #include "numeric/rational.h"
 
@@ -22,6 +24,11 @@ struct StrategyCase {
   PivotStrategy strategy;
   const char* name;
 };
+
+// Prints a case by its name. Without this gtest dumps the struct's raw
+// bytes, which include uninitialised padding and the address of `name`, so
+// the test names that gtest_discover_tests records change on every build.
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.name; }
 
 class GadgetTest : public ::testing::TestWithParam<StrategyCase> {
  protected:
