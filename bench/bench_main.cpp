@@ -46,7 +46,6 @@
 #include "serve/supervisor.h"
 #include "serve/warm_pool.h"
 #include "serve/wire.h"
-#include "serve/worker_pool.h"
 
 namespace {
 
@@ -291,7 +290,8 @@ void register_workloads(obs::BenchSuite& suite) {
     }
   });
   auto gem_xor_supervised = [gem_xor_tasks](std::size_t every) {
-    serve::WorkerPool pool;
+    // recycle_after = 1: every attempt gets a freshly forked worker.
+    serve::WarmPool pool({.workers = 1, .recycle_after = 1});
     for (const robustness::ReductionTask& task : gem_xor_tasks()) {
       robustness::CheckpointStore store;
       serve::SupervisorOptions so;

@@ -30,12 +30,13 @@ std::string ResilientReport::to_string() const {
   return s;
 }
 
-ResilientReport resilient_run(const ReductionTask& task,
-                              const ResilientOptions& options) {
-  ResilientReport out;
+void run_ladder(const ReductionTask& task, const ResilientOptions& options,
+                const AttemptRunner& run_attempt, ResilientReport& out) {
   CheckpointStore local_store;
-  CheckpointStore* store =
-      options.store != nullptr ? options.store : &local_store;
+  CheckpointStore* store = nullptr;
+  if (options.checkpoint_every != 0) {
+    store = options.store != nullptr ? options.store : &local_store;
+  }
   const std::vector<Substrate> ladder = options.ladder.empty()
                                             ? default_ladder(task.algorithm)
                                             : options.ladder;
@@ -50,7 +51,7 @@ ResilientReport resilient_run(const ReductionTask& task,
     // Checkpoints are field-tagged: state saved on another rung is useless
     // here. The FIRST rung keeps whatever the caller pre-populated (the
     // crash/resume path hands work back through options.store).
-    if (!first_rung) store->clear();
+    if (!first_rung && store != nullptr) store->clear();
     first_rung = false;
 
     for (std::size_t attempt = 1; attempt <= attempts_per_rung; ++attempt) {
@@ -67,16 +68,16 @@ ResilientReport resilient_run(const ReductionTask& task,
         }
       }
 
-      const FaultPlan fault = options.fault_for_attempt
-                                  ? options.fault_for_attempt(global_attempt)
-                                  : FaultPlan{};
-      CheckpointConfig ckpt;
-      ckpt.every = options.checkpoint_every;
-      ckpt.store = options.checkpoint_every != 0 ? store : nullptr;
-      ckpt.resume = ckpt.store != nullptr;
-      const bool had_checkpoint = ckpt.resume && !store->empty();
+      Attempt a;
+      a.substrate = sub;
+      a.number = global_attempt;
+      if (options.fault_for_attempt) {
+        a.fault = options.fault_for_attempt(global_attempt);
+      }
+      a.store = store;
+      const bool had_checkpoint = store != nullptr && !store->empty();
 
-      RunReport rep = run_on_substrate(task, sub, options.limits, fault, ckpt);
+      RunReport rep = run_attempt(a);
       rec.diagnostic = rep.diagnostic;
       rec.kind = classify_diagnostic(rep.diagnostic);
       rec.resumed = had_checkpoint && rep.diagnostic !=
@@ -90,11 +91,11 @@ ResilientReport resilient_run(const ReductionTask& task,
         out.value = out.final_report.value;
         out.certified_by = sub;
         out.outcome = FailureKind::kSuccess;
-        return out;
+        return;
       }
       if (rec.kind == FailureKind::kFatal) {
         out.outcome = FailureKind::kFatal;
-        return out;
+        return;
       }
       if (rec.kind == FailureKind::kDeterministic) {
         break;  // this substrate will reproduce these bits; climb
@@ -102,7 +103,8 @@ ResilientReport resilient_run(const ReductionTask& task,
       // Transient: a torn/corrupt latest checkpoint must not poison the
       // retry — drop it so the next attempt resumes from the previous
       // intact snapshot (or from scratch).
-      if (out.final_report.diagnostic == Diagnostic::kCheckpointCorrupt) {
+      if (out.final_report.diagnostic == Diagnostic::kCheckpointCorrupt &&
+          store != nullptr) {
         store->drop_latest();
       }
     }
@@ -118,6 +120,22 @@ ResilientReport resilient_run(const ReductionTask& task,
   }
 
   out.outcome = classify_diagnostic(out.final_report.diagnostic);
+}
+
+ResilientReport resilient_run(const ReductionTask& task,
+                              const ResilientOptions& options) {
+  ResilientReport out;
+  run_ladder(
+      task, options,
+      [&](const Attempt& a) {
+        CheckpointConfig ckpt;
+        ckpt.every = options.checkpoint_every;
+        ckpt.store = a.store;
+        ckpt.resume = a.store != nullptr;
+        return run_on_substrate(task, a.substrate, options.limits, a.fault,
+                                ckpt);
+      },
+      out);
   return out;
 }
 

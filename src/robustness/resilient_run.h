@@ -27,6 +27,12 @@
 // bit-reproducible. Backoff delays are RECORDED on every retry but only
 // SLEPT when the caller installs a sleeper, so tests and soak campaigns
 // replay at full speed.
+//
+// The loop itself is run_ladder, and it does not care WHERE an attempt
+// runs: resilient_run hands it the in-process guarded call, and
+// serve::supervised_run hands it a sandboxed worker on a WarmPool. Both
+// therefore share one decision table, one backoff schedule and one
+// checkpoint rule.
 
 #include <chrono>
 #include <cstddef>
@@ -63,10 +69,12 @@ struct ResilientOptions {
   // Ladder override; empty means default_ladder(task.algorithm).
   std::vector<Substrate> ladder;
   // Checkpoint cadence (guard steps between snapshots); 0 disables
-  // checkpointing entirely.
+  // checkpointing entirely: no attempt resumes, saves, or touches `store`,
+  // even one the caller filled.
   std::size_t checkpoint_every = 0;
   // External checkpoint store (crash/resume harnesses pre-populate one);
-  // nullptr uses a private store.
+  // nullptr uses a private store. The first rung resumes from what the
+  // caller left here; every climb clears it.
   CheckpointStore* store = nullptr;
   // Chaos schedule: the fault plan injected into global attempt k (1-based,
   // across rungs). Null means no injected faults.
@@ -93,5 +101,24 @@ struct ResilientReport {
 
 ResilientReport resilient_run(const ReductionTask& task,
                               const ResilientOptions& options = {});
+
+// One attempt as the ladder loop hands it out.
+struct Attempt {
+  Substrate substrate = Substrate::kDouble;
+  std::size_t number = 0;  // global, 1-based across rungs
+  FaultPlan fault;         // options.fault_for_attempt(number)
+  // Resume from its latest snapshot and file new ones here; nullptr when
+  // checkpoint_every == 0.
+  CheckpointStore* store = nullptr;
+};
+
+// Runs one attempt to its RunReport. The loop classifies the diagnostic.
+using AttemptRunner = std::function<RunReport(const Attempt&)>;
+
+// The rung/retry/escalation loop, with `run_attempt` deciding how one
+// attempt executes. Fills `out`, which may be a derived report whose extra
+// fields `run_attempt` tallies.
+void run_ladder(const ReductionTask& task, const ResilientOptions& options,
+                const AttemptRunner& run_attempt, ResilientReport& out);
 
 }  // namespace pfact::robustness

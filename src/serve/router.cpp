@@ -56,34 +56,21 @@ ShardRouter::ShardRouter(RouterOptions options) : options_(std::move(options)) {
 
   static std::atomic<std::uint64_t> router_serial{0};
   const std::uint64_t serial = ++router_serial;
-  const auto now = std::chrono::steady_clock::now();
-  {
-    par::MutexLock lock(mu_);
-    shards_.resize(options_.shards);
-    for (std::size_t i = 0; i < options_.shards; ++i) {
-      Shard& s = shards_[i];
-      s.spec.index = i;
-      s.spec.unix_path = options_.socket_dir + "/pfact_shard_" +
-                         std::to_string(::getpid()) + "_" +
-                         std::to_string(serial) + "_" + std::to_string(i) +
-                         ".sock";
-      s.spec.service = options_.service;
-      ::unlink(s.spec.unix_path.c_str());
-      s.pid = spawn_shard(s.spec);
-      s.started_at = now;
-      if (s.pid < 0) {
-        // fork() itself failed: enter the ordinary heal path — the
-        // supervisor will arm a seeded-backoff respawn like any death.
-        s.last_exit = WorkerExit::kForkFailure;
-        s.restart_attempt = 1;
-        s.restart_not_before = now + options_.restart.backoff(1);
-        set_status(s, ShardStatus::kRestarting);
-      } else {
-        set_status(s, ShardStatus::kStarting);
-      }
-    }
+  par::MutexLock lock(mu_);
+  shards_.resize(options_.shards);
+  for (std::size_t i = 0; i < options_.shards; ++i) {
+    Shard& s = shards_[i];
+    s.spec.index = i;
+    s.spec.unix_path = options_.socket_dir + "/pfact_shard_" +
+                       std::to_string(::getpid()) + "_" +
+                       std::to_string(serial) + "_" + std::to_string(i) +
+                       ".sock";
+    s.spec.service = options_.service;
   }
+  // The supervisor thread forks the first shards, as it forks every
+  // respawn; the router is not constructed until they exist.
   supervisor_ = std::thread(&ShardRouter::supervise, this);
+  while (!launched_) lock.wait(wake_);
 }
 
 ShardRouter::~ShardRouter() {
@@ -133,6 +120,22 @@ ShardRouter::~ShardRouter() {
     ::waitpid(pid, &st, 0);
     ::unlink(path.c_str());
   }
+}
+
+bool ShardRouter::launch(Shard& s, std::chrono::steady_clock::time_point now) {
+  ::unlink(s.spec.unix_path.c_str());
+  s.pid = spawn_shard(s.spec);
+  if (s.pid < 0) {
+    // fork() itself failed: the ordinary heal path — a seeded-backoff
+    // respawn, like any death.
+    s.last_exit = WorkerExit::kForkFailure;
+    ++s.restart_attempt;
+    s.restart_not_before = now + options_.restart.backoff(s.restart_attempt);
+    return false;
+  }
+  s.started_at = now;
+  set_status(s, ShardStatus::kStarting);
+  return true;
 }
 
 void ShardRouter::set_status(Shard& s, ShardStatus status) {
@@ -331,6 +334,14 @@ void ShardRouter::supervise() {
   const auto tick = std::max(std::chrono::milliseconds(1),
                              std::min(kMaxTick, options_.probe_interval));
   auto next_probe = std::chrono::steady_clock::now();
+  {
+    par::MutexLock lock(mu_);
+    for (Shard& s : shards_) {
+      if (!launch(s, next_probe)) set_status(s, ShardStatus::kRestarting);
+    }
+    launched_ = true;
+  }
+  wake_.notify_all();
   for (;;) {
     {
       par::MutexLock lock(mu_);
@@ -369,20 +380,9 @@ void ShardRouter::reap_and_heal(std::chrono::steady_clock::time_point now) {
       }
     }
     if (s.status == ShardStatus::kRestarting && s.pid <= 0 &&
-        now >= s.restart_not_before) {
-      ::unlink(s.spec.unix_path.c_str());
-      s.pid = spawn_shard(s.spec);
-      if (s.pid < 0) {
-        s.last_exit = WorkerExit::kForkFailure;
-        ++s.restart_attempt;
-        s.restart_not_before =
-            now + options_.restart.backoff(s.restart_attempt);
-      } else {
-        s.started_at = now;
-        ++stats_.restarts;
-        PFACT_COUNT(kRouterRestarts);
-        set_status(s, ShardStatus::kStarting);
-      }
+        now >= s.restart_not_before && launch(s, now)) {
+      ++stats_.restarts;
+      PFACT_COUNT(kRouterRestarts);
     }
   }
 }

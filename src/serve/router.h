@@ -20,7 +20,9 @@
 //     supervisor (worker cross-check + envelope re-check), so at-most-once
 //     delivery of a *wrong* answer is structurally impossible — a failover
 //     can repeat work, never repeat trust.
-//   * self-healing — deaths are reaped with waitpid and classified through
+//   * self-healing — the supervisor thread forks every shard (so each
+//     shard's PR_SET_PDEATHSIG is tied to a thread that lives as long as
+//     the router), reaps deaths with waitpid and classifies them through
 //     the PR 5 WorkerExit machinery; restarts wait out a seeded RetryPolicy
 //     backoff (bit-reproducible: same seed, same restart schedule), armed
 //     as a not-before deadline so the supervision loop never sleeps in a
@@ -52,7 +54,7 @@
 #include "serve/client.h"
 #include "serve/frontend.h"
 #include "serve/shard.h"
-#include "serve/worker_pool.h"
+#include "serve/warm_pool.h"
 
 namespace pfact::serve {
 
@@ -221,6 +223,9 @@ class ShardRouter {
   };
 
   void supervise();
+  // Forks shard `s`; on failure arms the next seeded-backoff attempt.
+  bool launch(Shard& s, std::chrono::steady_clock::time_point now)
+      PFACT_REQUIRES(mu_);
   void set_status(Shard& s, ShardStatus status) PFACT_REQUIRES(mu_);
   void reap_and_heal(std::chrono::steady_clock::time_point now);
   void probe_round(std::chrono::steady_clock::time_point now);
@@ -234,6 +239,7 @@ class ShardRouter {
   Stats stats_ PFACT_GUARDED_BY(mu_);
   std::unordered_set<std::string> served_keys_ PFACT_GUARDED_BY(mu_);
   bool stopping_ PFACT_GUARDED_BY(mu_) = false;
+  bool launched_ PFACT_GUARDED_BY(mu_) = false;  // first forks done
   std::atomic<std::size_t> in_flight_{0};
   std::atomic<std::size_t> not_serving_{0};  // shards currently != kServing
   std::condition_variable wake_;  // supervision tick / shutdown wakeup

@@ -3,14 +3,15 @@
 #include <errno.h>
 #include <signal.h>
 #include <string.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
-#include <sys/syscall.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <memory>
 
 #include "serve/frontend.h"
+#include "serve/warm_pool.h"
 #include "serve/wire.h"
 
 namespace pfact::serve {
@@ -22,23 +23,10 @@ namespace {
 // shutdown needs no async-signal-safe gymnastics: the main thread simply
 // returns into the destructors, which drain the frontend and retire the
 // warm workers before _exit.
-// Drop every descriptor inherited from the router process. A shard forked
-// mid-campaign inherits whatever the parent had open at that moment —
-// crucially the pipe ends of OTHER services' warm workers. A duplicate
-// write end held here would keep those workers from ever seeing EOF at
-// their own pool's shutdown, turning an unrelated teardown into a hang.
-// The shard needs nothing from the parent but stdio: it builds its own
-// sockets, pipes, and workers from scratch.
-void close_inherited_fds() {
-#if defined(__linux__) && defined(SYS_close_range)
-  if (::syscall(SYS_close_range, 3u, ~0u, 0u) == 0) return;
-#endif
-  const long max_fd = ::sysconf(_SC_OPEN_MAX);
-  for (int fd = 3; fd < (max_fd > 0 ? max_fd : 1024); ++fd) ::close(fd);
-}
-
-[[noreturn]] void shard_child_main(const ShardSpec& spec) {
-  close_inherited_fds();
+[[noreturn]] void shard_child_main(const ShardSpec& spec, pid_t router) {
+  // The fork rule: the shard needs nothing from the router process but
+  // stdio. It builds its own sockets, pipes, and workers from scratch.
+  close_inherited_fds({});
   // Block SIGTERM before the service threads start so every thread inherits
   // the mask and only the sigwait below can consume it.
   sigset_t term;
@@ -46,6 +34,13 @@ void close_inherited_fds() {
   sigaddset(&term, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &term, nullptr);
   ::signal(SIGPIPE, SIG_IGN);
+  // Die with the router: a router killed without its destructor still
+  // SIGTERMs its shards, which drain as on a graceful stop. The signal
+  // fires when the FORKING THREAD exits, which is why the router forks
+  // every shard from its supervisor thread. A router that died before
+  // prctl took effect shows as a changed parent.
+  ::prctl(PR_SET_PDEATHSIG, SIGTERM);
+  if (::getppid() != router) _exit(0);
 
   {
     ReductionService service(spec.service);
@@ -64,9 +59,10 @@ void close_inherited_fds() {
 }  // namespace
 
 pid_t spawn_shard(const ShardSpec& spec) {
+  const pid_t router = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) return -1;
-  if (pid == 0) shard_child_main(spec);  // never returns
+  if (pid == 0) shard_child_main(spec, router);  // never returns
   return pid;
 }
 

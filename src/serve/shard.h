@@ -103,6 +103,9 @@ struct ShardSpec {
 // Forks a shard child. The child builds a ReductionService + Frontend on
 // spec.unix_path and serves until SIGTERM (graceful drain) or a harder
 // death; it never returns. The parent gets the pid, or -1 if fork failed.
+// The child also receives SIGTERM when the calling THREAD exits
+// (PR_SET_PDEATHSIG), so call this from a thread that lives as long as the
+// shard should.
 pid_t spawn_shard(const ShardSpec& spec);
 
 // One blocking heartbeat: connect to `unix_path`, send an empty kProbe

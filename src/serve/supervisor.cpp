@@ -1,5 +1,6 @@
 #include "serve/supervisor.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/counters.h"
@@ -7,166 +8,83 @@
 
 namespace pfact::serve {
 
-using robustness::AttemptRecord;
-using robustness::CheckpointStore;
+using robustness::Attempt;
 using robustness::Diagnostic;
-using robustness::FailureKind;
-using robustness::FaultPlan;
 using robustness::ReductionTask;
 using robustness::RunReport;
-using robustness::Substrate;
 
 std::string SupervisedReport::to_string() const {
-  std::string s =
-      certified ? std::string("certified value=") + (value ? "true" : "false") +
-                      " by " + robustness::substrate_name(certified_by)
-                : std::string("terminal ") +
-                      robustness::failure_kind_name(outcome) + ": " +
-                      robustness::diagnostic_name(final_report.diagnostic);
-  s += " after " + std::to_string(attempts.size()) + " attempt(s), " +
-       std::to_string(escalations) + " escalation(s); workers: " +
-       std::to_string(workers_spawned) + " spawned, " +
-       std::to_string(workers_crashed) + " crashed, " +
-       std::to_string(watchdog_kills) + " watchdog-killed, " +
-       std::to_string(resume_handoffs) + " resume handoff(s), " +
-       std::to_string(checkpoints_received) + " checkpoint(s) received";
-  for (const AttemptRecord& a : attempts) s += "\n  " + a.to_string();
+  std::string s = ResilientReport::to_string();
+  const std::string workers =
+      "; workers: " + std::to_string(workers_spawned) + " spawned, " +
+      std::to_string(workers_crashed) + " crashed, " +
+      std::to_string(watchdog_kills) + " watchdog-killed, " +
+      std::to_string(resume_handoffs) + " resume handoff(s), " +
+      std::to_string(checkpoints_received) + " checkpoint(s) received";
+  s.insert(std::min(s.find('\n'), s.size()), workers);
   return s;
 }
 
-SupervisedReport supervised_run(JobRunner& pool, const ReductionTask& task,
+SupervisedReport supervised_run(WarmPool& pool, const ReductionTask& task,
                                 const SupervisorOptions& options) {
   PFACT_SPAN("serve.supervised-run");
   SupervisedReport out;
-  CheckpointStore local_store;
-  CheckpointStore* store =
-      options.store != nullptr ? options.store : &local_store;
-  const std::vector<Substrate> ladder =
-      options.ladder.empty() ? robustness::default_ladder(task.algorithm)
-                             : options.ladder;
-  const std::size_t attempts_per_rung =
-      options.retry.max_attempts == 0 ? 1 : options.retry.max_attempts;
-
-  std::size_t global_attempt = 0;
-  bool first_rung = true;
-  for (std::size_t rung = 0; rung < ladder.size(); ++rung) {
-    const Substrate sub = ladder[rung];
-    if (!robustness::substrate_supported(task.algorithm, sub)) continue;
-    // Checkpoints are field-tagged: blobs streamed by another rung's worker
-    // are useless here. The FIRST rung keeps whatever the caller
-    // pre-populated (crash/resume harnesses hand work back through
-    // options.store).
-    if (!first_rung) store->clear();
-    first_rung = false;
-
-    for (std::size_t attempt = 1; attempt <= attempts_per_rung; ++attempt) {
-      ++global_attempt;
-      PFACT_COUNT(kRetryAttempts);
-
-      AttemptRecord rec;
-      rec.substrate = sub;
-      rec.attempt = attempt;
-      if (attempt > 1) {
-        rec.backoff = options.retry.backoff(attempt - 1);
-        if (options.sleeper && rec.backoff.count() > 0) {
-          options.sleeper(rec.backoff);
+  robustness::run_ladder(
+      task, options,
+      [&](const Attempt& a) {
+        TaskRequest req;
+        req.task = task;
+        req.substrate = a.substrate;
+        req.limits = options.limits;
+        req.checkpoint_every = options.checkpoint_every;
+        if (options.kill_for_attempt) {
+          req.kill = options.kill_for_attempt(a.number);
         }
-      }
+        req.fault = a.fault;
+        req.rlimits = options.rlimits;
 
-      TaskRequest req;
-      req.task = task;
-      req.substrate = sub;
-      req.limits = options.limits;
-      req.checkpoint_every = options.checkpoint_every;
-      if (options.kill_for_attempt) {
-        req.kill = options.kill_for_attempt(global_attempt);
-      }
-      if (options.fault_for_attempt) {
-        req.fault = options.fault_for_attempt(global_attempt);
-      }
-      req.rlimits = options.rlimits;
-
-      // Cross-process resume handoff: seed the fresh worker with the
-      // newest verified blob a predecessor streamed before dying. The
-      // worker re-validates it in full (field tag, shape, CRC) before
-      // resuming — the handoff can delay a run, never corrupt one.
-      const bool had_checkpoint = !store->empty();
-      if (had_checkpoint) {
-        req.resume_step = store->latest_step();
-        req.resume_blob = *store->latest();
-        PFACT_COUNT(kWorkerResumeHandoffs);
-        ++out.resume_handoffs;
-      }
-
-      WorkerRun run = pool.run_task(req, store, options.watchdog);
-      ++out.workers_spawned;
-      out.checkpoints_received += run.checkpoints_received;
-      out.last_worker_exit = run.exit;
-      if (run.exit != WorkerExit::kCompleted) ++out.workers_crashed;
-      if (run.exit == WorkerExit::kWatchdog) ++out.watchdog_kills;
-
-      RunReport rep;
-      if (run.exit == WorkerExit::kCompleted) {
-        rep = std::move(run.result);
-        // Defense in depth: the worker's certificate crossed a process
-        // boundary, so re-certify against the direct evaluation here. A
-        // worker whose memory was corrupted enough to ship kOk with the
-        // wrong boolean becomes a classified mismatch, not an answer.
-        if (rep.diagnostic == Diagnostic::kOk &&
-            rep.value != task.expected()) {
-          rep.diagnostic = Diagnostic::kCrossCheckMismatch;
-          rep.detail =
-              "supervisor re-check: worker-certified value contradicts "
-              "direct evaluation";
+        // Cross-process resume handoff: seed the fresh worker with the
+        // newest verified blob a predecessor streamed before dying. The
+        // worker re-validates it in full (field tag, shape, CRC) before
+        // resuming — the handoff can delay a run, never corrupt one. A
+        // worker that rejects it reports kCheckpointCorrupt, and the loop
+        // drops the blob before the next attempt.
+        if (a.store != nullptr && !a.store->empty()) {
+          req.resume_step = a.store->latest_step();
+          req.resume_blob = *a.store->latest();
+          PFACT_COUNT(kWorkerResumeHandoffs);
+          ++out.resume_handoffs;
         }
-      } else {
-        rep.diagnostic = diagnose_worker_exit(run.exit);
-        rep.algorithm = robustness::algorithm_name(task.algorithm);
-        rep.detail = run.detail;
-      }
 
-      rec.diagnostic = rep.diagnostic;
-      rec.kind = robustness::classify_diagnostic(rep.diagnostic);
-      rec.resumed = had_checkpoint &&
-                    rep.diagnostic != Diagnostic::kCheckpointCorrupt;
-      rec.detail = rep.detail;
-      out.attempts.push_back(rec);
-      out.final_report = std::move(rep);
+        WorkerRun run = pool.run_task(req, a.store, options.watchdog);
+        ++out.workers_spawned;
+        out.checkpoints_received += run.checkpoints_received;
+        out.last_worker_exit = run.exit;
+        if (run.exit != WorkerExit::kCompleted) ++out.workers_crashed;
+        if (run.exit == WorkerExit::kWatchdog) ++out.watchdog_kills;
 
-      if (rec.kind == FailureKind::kSuccess) {
-        out.certified = true;
-        out.value = out.final_report.value;
-        out.certified_by = sub;
-        out.outcome = FailureKind::kSuccess;
-        return out;
-      }
-      if (rec.kind == FailureKind::kFatal) {
-        out.outcome = FailureKind::kFatal;
-        return out;
-      }
-      if (rec.kind == FailureKind::kDeterministic) {
-        break;  // this substrate will reproduce these bits; climb
-      }
-      // Transient. A worker that REJECTED its seed blob (kCheckpointCorrupt)
-      // must not be handed the same blob again — drop it so the next worker
-      // falls back to the previous intact snapshot (or a fresh start).
-      if (out.final_report.diagnostic == Diagnostic::kCheckpointCorrupt) {
-        store->drop_latest();
-      }
-    }
-
-    bool has_next = false;
-    for (std::size_t r = rung + 1; r < ladder.size(); ++r) {
-      if (robustness::substrate_supported(task.algorithm, ladder[r]))
-        has_next = true;
-    }
-    if (has_next) {
-      PFACT_COUNT(kEscalations);
-      ++out.escalations;
-    }
-  }
-
-  out.outcome = robustness::classify_diagnostic(out.final_report.diagnostic);
+        RunReport rep;
+        if (run.exit == WorkerExit::kCompleted) {
+          rep = std::move(run.result);
+          // Defense in depth: the worker's certificate crossed a process
+          // boundary, so re-certify against the direct evaluation here. A
+          // worker whose memory was corrupted enough to ship kOk with the
+          // wrong boolean becomes a classified mismatch, not an answer.
+          if (rep.diagnostic == Diagnostic::kOk &&
+              rep.value != task.expected()) {
+            rep.diagnostic = Diagnostic::kCrossCheckMismatch;
+            rep.detail =
+                "supervisor re-check: worker-certified value contradicts "
+                "direct evaluation";
+          }
+        } else {
+          rep.diagnostic = diagnose_worker_exit(run.exit);
+          rep.algorithm = robustness::algorithm_name(task.algorithm);
+          rep.detail = run.detail;
+        }
+        return rep;
+      },
+      out);
   return out;
 }
 

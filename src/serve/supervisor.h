@@ -2,9 +2,10 @@
 // The supervisor: resilient_run's retry/escalation loop, lifted across the
 // process boundary.
 //
-// supervised_run drives ReductionTasks through forked workers (WorkerPool)
-// instead of in-process guarded calls, which upgrades PR 3's *simulated*
-// crash recovery to the real thing: a worker that SIGSEGVs, overruns its
+// supervised_run runs robustness::run_ladder — the same loop resilient_run
+// runs — with each attempt in a sandboxed worker on a WarmPool instead of
+// an in-process guarded call, which upgrades PR 3's *simulated* crash
+// recovery to the real thing: a worker that SIGSEGVs, overruns its
 // rlimit sandbox, or is SIGKILLed by the watchdog dies alone, and the
 // checkpoints it already streamed over the pipe seed its successor. The
 // decision table is unchanged — classify_diagnostic over the same
@@ -19,17 +20,11 @@
 #include <cstddef>
 #include <functional>
 #include <string>
-#include <vector>
 
-#include "robustness/checkpoint.h"
 #include "robustness/diagnostics.h"
-#include "robustness/escalation.h"
-#include "robustness/fault_injector.h"
-#include "robustness/guarded_run.h"
 #include "robustness/resilient_run.h"
-#include "robustness/retry.h"
+#include "serve/warm_pool.h"
 #include "serve/wire.h"
-#include "serve/worker_pool.h"
 
 namespace pfact::serve {
 
@@ -65,42 +60,23 @@ inline robustness::Diagnostic diagnose_worker_exit(WorkerExit e) {
   return robustness::Diagnostic::kInternalError;
 }
 
-struct SupervisorOptions {
-  robustness::RetryPolicy retry;
-  robustness::GuardLimits limits;
-  // Ladder override; empty means default_ladder(task.algorithm).
-  std::vector<robustness::Substrate> ladder;
-  // Checkpoint cadence inside the worker (guard steps between snapshots);
-  // 0 disables checkpoint streaming — a dead worker then restarts from
-  // scratch instead of resuming.
-  std::size_t checkpoint_every = 0;
-  // External store for the streamed blobs; nullptr uses a private one.
-  robustness::CheckpointStore* store = nullptr;
+// ResilientOptions (retry, limits, ladder, checkpoint cadence and store,
+// fault schedule, sleeper) plus what only a worker process has. Checkpoints
+// stream out of the worker as it saves, so a dead worker's successor
+// resumes where it died; checkpoint_every == 0 restarts it from scratch.
+struct SupervisorOptions : robustness::ResilientOptions {
   // Wall-clock watchdog per worker; 0 disables it.
   std::chrono::milliseconds watchdog{0};
   // rlimit sandbox applied inside every worker.
   WorkerLimits rlimits;
-  // Chaos schedules, keyed by global attempt number (1-based): how attempt
-  // k's worker kills itself, and what fault is injected into its run.
+  // Chaos schedule, keyed by global attempt number (1-based): how attempt
+  // k's worker kills itself.
   std::function<KillPlan(std::size_t attempt)> kill_for_attempt;
-  std::function<robustness::FaultPlan(std::size_t attempt)> fault_for_attempt;
-  // Sleeps backoff delays when installed; null records without sleeping.
-  std::function<void(std::chrono::milliseconds)> sleeper;
 };
 
 // ResilientReport plus the worker-lifecycle view of the same attempts.
-struct SupervisedReport {
-  bool certified = false;
-  bool value = false;
-  robustness::Substrate certified_by = robustness::Substrate::kDouble;
-
-  robustness::FailureKind outcome = robustness::FailureKind::kFatal;
-  robustness::RunReport final_report;  // the deciding attempt's report
-  std::vector<robustness::AttemptRecord> attempts;
-  std::size_t escalations = 0;
-
-  // Worker lifecycle across the whole supervised run.
-  std::size_t workers_spawned = 0;
+struct SupervisedReport : robustness::ResilientReport {
+  std::size_t workers_spawned = 0;      // one worker job per attempt
   std::size_t workers_crashed = 0;      // any non-kCompleted ending
   std::size_t watchdog_kills = 0;
   std::size_t resume_handoffs = 0;      // workers seeded with a blob
@@ -111,9 +87,8 @@ struct SupervisedReport {
 };
 
 // Runs `task` to a certified answer or a classified terminal failure, every
-// attempt in its own sandboxed worker — cold-forked (WorkerPool) or leased
-// from a warm pool (WarmPool), whichever JobRunner is passed. Blocking.
-SupervisedReport supervised_run(JobRunner& pool,
+// attempt in its own sandboxed worker leased from `pool`. Blocking.
+SupervisedReport supervised_run(WarmPool& pool,
                                 const robustness::ReductionTask& task,
                                 const SupervisorOptions& options = {});
 

@@ -3,9 +3,12 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -29,44 +32,78 @@ int reap(pid_t pid) {
 
 void set_cloexec(int fd) { ::fcntl(fd, F_SETFD, FD_CLOEXEC); }
 
-// Process-wide registry of every live WarmPool's parent-side pipe fds.
-// With two pools in one process (a service pool next to a bench pool), a
-// child forked by pool B inherits duplicates of pool A's request-pipe
-// write ends; when A later closes them to retire a worker, that worker
-// never sees EOF and A's reap blocks forever. Every forked child therefore
-// closes ALL registered parent-side fds, not just its own pool's. The
-// mutex is held across pipe-creation + fork so a concurrent spawn in
-// another pool cannot slip unregistered fds into the child.
-par::Mutex g_pool_fds_mu;
-std::vector<int>& pool_fds() {
-  static std::vector<int> fds;
-  return fds;
-}
-
-// Caller holds g_pool_fds_mu (spawn_slot keeps it across the fork).
-void register_pool_fd(int fd) {
-  if (fd >= 0) pool_fds().push_back(fd);
-}
-
-void unregister_pool_fd(int fd) {
-  par::MutexLock lock(g_pool_fds_mu);
-  std::vector<int>& fds = pool_fds();
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    if (fds[i] == fd) {
-      fds[i] = fds.back();
-      fds.pop_back();
-      return;
-    }
-  }
+// Closes every fd in [lo, hi].
+void close_fd_range(unsigned lo, unsigned hi) {
+#if defined(__linux__) && defined(SYS_close_range)
+  if (::syscall(SYS_close_range, lo, hi, 0u) == 0) return;
+#endif
+  const long max_fd = ::sysconf(_SC_OPEN_MAX);
+  const unsigned end = std::min<unsigned long>(
+      hi, static_cast<unsigned long>(max_fd > 0 ? max_fd : 1024) - 1);
+  for (unsigned fd = lo; fd <= end; ++fd) ::close(static_cast<int>(fd));
 }
 
 }  // namespace
 
-WarmPool::WarmPool(WarmPoolOptions options) : options_(options) {
+void close_inherited_fds(std::initializer_list<int> keep) {
+  // Runs between fork and the child's real work, so no allocation: visit
+  // the kept fds in ascending order and close the gaps between them.
+  int next = 3;  // stdio stays
+  for (;;) {
+    int lowest = -1;
+    for (const int fd : keep) {
+      if (fd >= next && (lowest < 0 || fd < lowest)) lowest = fd;
+    }
+    if (lowest < 0) break;
+    if (lowest > next) close_fd_range(next, lowest - 1);
+    next = lowest + 1;
+  }
+  close_fd_range(next, ~0u);
+}
+
+void classify_wait_status(int status, bool watchdog_fired,
+                          std::chrono::milliseconds watchdog, WorkerRun& run) {
+  if (watchdog_fired) {
+    run.exit = WorkerExit::kWatchdog;
+    run.term_signal = SIGKILL;
+    run.detail = "watchdog deadline (" + std::to_string(watchdog.count()) +
+                 "ms) expired; worker SIGKILLed";
+  } else if (WIFEXITED(status)) {
+    run.exit_code = WEXITSTATUS(status);
+    if (run.exit_code == 0) {
+      run.exit = run.has_result ? WorkerExit::kCompleted
+                                : WorkerExit::kProtocolError;
+      if (!run.has_result && run.detail.empty()) {
+        run.detail = "worker exited 0 without a result frame";
+      }
+    } else {
+      run.exit = WorkerExit::kNonzeroExit;
+      run.detail = "worker exited with status " +
+                   std::to_string(run.exit_code);
+    }
+  } else if (WIFSIGNALED(status)) {
+    run.term_signal = WTERMSIG(status);
+    if (run.term_signal == SIGXCPU) {
+      run.exit = WorkerExit::kCpuLimit;
+      run.detail = "worker hit RLIMIT_CPU (SIGXCPU)";
+    } else {
+      run.exit = WorkerExit::kSignalled;
+      run.detail = "worker killed by signal " +
+                   std::to_string(run.term_signal) + " (" +
+                   ::strsignal(run.term_signal) + ")";
+    }
+  } else {
+    run.exit = WorkerExit::kProtocolError;
+    run.detail = "unrecognized waitpid status " + std::to_string(status);
+  }
+}
+
+WarmPool::WarmPool(WarmPoolOptions options,
+                   std::function<pid_t()> fork_for_testing)
+    : options_(options), fork_fn_(std::move(fork_for_testing)) {
   if (options_.workers == 0) options_.workers = 1;
-  // Same rationale as WorkerPool: a worker dying mid-conversation turns the
-  // request pipe into a broken pipe, and EPIPE — not SIGPIPE — is the
-  // classifiable outcome.
+  // A worker dying mid-conversation turns the request pipe into a broken
+  // pipe, and EPIPE — not SIGPIPE — is the classifiable outcome.
   ::signal(SIGPIPE, SIG_IGN);
   par::MutexLock lock(mu_);
   slots_.resize(options_.workers);
@@ -84,9 +121,6 @@ WarmPool::~WarmPool() {
 
 bool WarmPool::spawn_slot(std::size_t idx) {
   Slot& slot = slots_[idx];
-  // Held across pipe-creation AND fork: the registry snapshot the child
-  // closes must cover every parent-side fd of every pool in the process.
-  par::MutexLock fd_lock(g_pool_fds_mu);
   int to[2];    // parent writes requests
   int from[2];  // child writes checkpoints + results
   if (::pipe(to) != 0) {
@@ -104,8 +138,9 @@ bool WarmPool::spawn_slot(std::size_t idx) {
   set_cloexec(from[0]);
   set_cloexec(from[1]);
 
-  const pid_t pid = ::fork();
+  const pid_t pid = fork_fn_ ? fork_fn_() : ::fork();
   if (pid < 0) {
+    // EAGAIN/ENOMEM: the machine is out of processes or memory RIGHT NOW.
     ::close(to[0]);
     ::close(to[1]);
     ::close(from[0]);
@@ -114,22 +149,16 @@ bool WarmPool::spawn_slot(std::size_t idx) {
     return false;
   }
   if (pid == 0) {
-    // Child. Close every registered parent-side pipe fd first — sibling
-    // slots of this pool AND every other live WarmPool in the process: an
-    // inherited duplicate of a request-pipe write end would keep that
-    // pipe's worker from ever seeing its retirement EOF. Then close our
-    // own parent-side ends and enter the job loop.
-    for (int fd : pool_fds()) ::close(fd);
-    ::close(to[1]);
-    ::close(from[0]);
+    // Child: the fork rule, then the job loop. The guarded drivers are
+    // single-threaded, so the child never waits on threads it did not
+    // inherit.
+    close_inherited_fds({to[0], from[1]});
     ::_exit(worker_loop_main(to[0], from[1]));
   }
 
   // Parent.
   ::close(to[0]);
   ::close(from[1]);
-  register_pool_fd(to[1]);
-  register_pool_fd(from[0]);
   slot.pid = pid;
   slot.to_wr = to[1];
   slot.from_rd = from[0];
@@ -140,25 +169,19 @@ bool WarmPool::spawn_slot(std::size_t idx) {
   return true;
 }
 
-void WarmPool::retire_slot(std::size_t idx) {
+int WarmPool::retire_slot(std::size_t idx) {
   Slot& slot = slots_[idx];
-  if (!slot.alive) return;
   // Closing the request pipe is the retirement signal: worker_loop_main
   // reads EOF at the next job boundary and exits 0. A child that is instead
   // already dead (death path: the caller SIGKILLed it) reaps just the same.
-  if (slot.to_wr >= 0) {
-    unregister_pool_fd(slot.to_wr);
-    ::close(slot.to_wr);
-  }
-  if (slot.from_rd >= 0) {
-    unregister_pool_fd(slot.from_rd);
-    ::close(slot.from_rd);
-  }
+  ::close(slot.to_wr);
+  ::close(slot.from_rd);
   slot.to_wr = -1;
   slot.from_rd = -1;
-  reap(slot.pid);
+  const int status = reap(slot.pid);
   slot.pid = -1;
   slot.alive = false;
+  return status;
 }
 
 WarmPool::Stats WarmPool::stats() const {
@@ -208,7 +231,9 @@ WorkerRun WarmPool::run_task(const TaskRequest& request,
       for (const Slot& s : slots_) any_pending |= s.busy;
       if (!any_pending) {
         // Every slot is dead and none could be respawned: the machine is
-        // out of processes. Same classified outcome as a cold fork failure.
+        // out of processes. kForkFailure maps to kResourceExhausted —
+        // transient, retried with backoff — because no worker ran, so
+        // nothing was refuted.
         run.exit = WorkerExit::kForkFailure;
         run.detail = "warm pool: no slot could be (re)spawned";
         return run;
@@ -224,10 +249,11 @@ WorkerRun WarmPool::run_task(const TaskRequest& request,
   }
   PFACT_COUNT(kServeWarmJobs);
 
-  // Ship the request. The child is already blocked in read_frame, so there
-  // is no pre-fork deadlock window here; a child that died between jobs
-  // turns this write into EPIPE (SIGPIPE is ignored) and the pump below
-  // sees EOF — waitpid then tells the truth about the death.
+  // Ship the request. The child is already blocked in read_frame, so a
+  // request larger than the pipe buffer (a dense resume blob) cannot
+  // deadlock; a child that died between jobs turns this write into EPIPE
+  // (SIGPIPE is ignored) and the pump below sees EOF — waitpid then tells
+  // the truth about the death.
   const WireStatus sent =
       write_frame(to_wr, FrameType::kRequest, encode_request(request));
   if (sent != WireStatus::kOk) {
@@ -241,17 +267,20 @@ WorkerRun WarmPool::run_task(const TaskRequest& request,
   bool watchdog_fired = false;
   bool stream_broke = sent != WireStatus::kOk;
 
-  // The pump. Identical to the cold pool's except for the terminator: a
-  // decoded result frame ends the JOB, not the worker — the child loops
-  // back to read the next request and the slot stays warm.
+  // The pump. A decoded result frame ends the JOB, not the worker — the
+  // child loops back to read the next request and the slot stays warm.
   while (!run.has_result && !stream_broke) {
     FrameType type = FrameType::kResult;
     std::string payload;
     const WireStatus st = read_frame(from_rd, type, payload, deadline);
     if (st == WireStatus::kTimeout) {
+      // The watchdog: the worker overran its wall-clock budget. SIGKILL is
+      // deliberate — a wedged worker may not honor anything gentler.
       watchdog_fired = true;
       ::kill(pid, SIGKILL);
       PFACT_COUNT(kWorkerWatchdogKills);
+      // Drop the expired deadline: the worker is dead, so the drain ends
+      // at EOF — re-polling against the past would spin.
       deadline = std::chrono::steady_clock::time_point{};
       continue;  // drain frames already in flight, then hit EOF below
     }
@@ -276,6 +305,8 @@ WorkerRun WarmPool::run_task(const TaskRequest& request,
         ++run.checkpoints_received;
         if (store != nullptr) store->put(step, std::move(blob));
       } else {
+        // A blob that does not hash is never filed — the fault injector's
+        // torn writes (and real torn pipe writes) stop here.
         ++run.checkpoints_rejected;
         PFACT_COUNT(kCheckpointRejects);
       }
@@ -321,22 +352,9 @@ WorkerRun WarmPool::run_task(const TaskRequest& request,
     // Death path. SIGKILL first: a desynchronized-but-alive worker (CRC
     // mismatch on its stream) would otherwise never exit and reap would
     // hang; for a worker that is already dead the kill is a no-op on the
-    // zombie. Then reap, classify with the shared table, respawn.
+    // zombie. Then reap, classify, respawn.
     ::kill(pid, SIGKILL);
-    if (slot.to_wr >= 0) {
-      unregister_pool_fd(slot.to_wr);
-      ::close(slot.to_wr);
-    }
-    if (slot.from_rd >= 0) {
-      unregister_pool_fd(slot.from_rd);
-      ::close(slot.from_rd);
-    }
-    slot.to_wr = -1;
-    slot.from_rd = -1;
-    const int status = reap(pid);
-    slot.pid = -1;
-    slot.alive = false;
-    classify_wait_status(status, watchdog_fired, watchdog, run);
+    classify_wait_status(retire_slot(idx), watchdog_fired, watchdog, run);
     ++stats_.crashed;
     if (run.exit == WorkerExit::kWatchdog) ++stats_.watchdog_kills;
     PFACT_COUNT(kWorkerCrashes);

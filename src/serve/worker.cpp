@@ -65,8 +65,7 @@ void apply_rlimits(const WorkerLimits& limits) {
 }
 
 // One guarded job: sandbox, (maybe) die on schedule, run, ship the result.
-// Shared by the one-shot worker_main and the warm worker_loop_main; returns
-// the process exit code contribution (0 = result frame delivered).
+// Returns the process exit code contribution (0 = result frame delivered).
 int run_one_request(TaskRequest req, int response_fd) {
   apply_rlimits(req.rlimits);
 
@@ -116,24 +115,10 @@ int run_one_request(TaskRequest req, int response_fd) {
 
 }  // namespace
 
-int worker_main(int request_fd, int response_fd) {
+int worker_loop_main(int request_fd, int response_fd) {
   // The supervisor may die first; a SIGPIPE on the response pipe must
   // surface as a write error, not kill the worker with an unclassifiable
   // signal.
-  ::signal(SIGPIPE, SIG_IGN);
-
-  FrameType type = FrameType::kRequest;
-  std::string payload;
-  if (read_frame(request_fd, type, payload) != WireStatus::kOk ||
-      type != FrameType::kRequest) {
-    return kWorkerExitBadRequestFrame;
-  }
-  TaskRequest req;
-  if (!decode_request(payload, req)) return kWorkerExitBadRequestBody;
-  return run_one_request(std::move(req), response_fd);
-}
-
-int worker_loop_main(int request_fd, int response_fd) {
   ::signal(SIGPIPE, SIG_IGN);
 
   for (;;) {

@@ -1,15 +1,16 @@
 #pragma once
 // The worker side of the process-isolation protocol.
 //
-// worker_main runs inside a freshly forked child: it reads ONE TaskRequest
-// frame, applies its rlimit sandbox, runs the guarded reduction on the
-// requested substrate — streaming every save-every-k checkpoint blob back
-// over the response pipe as it is produced — and ships the RunReport as a
-// result frame before _exit(0). All of pfact's actual failure handling
-// lives OUTSIDE this process: a worker that dies (SIGSEGV, OOM under
-// RLIMIT_AS, SIGXCPU, a supervisor watchdog SIGKILL) takes nothing with it
-// but its own address space, and the checkpoints already on the wire let
-// the supervisor respawn a successor that resumes where it stopped.
+// worker_loop_main runs inside a warm-pool child (warm_pool.h): it reads
+// TaskRequest frames one at a time, applies each one's rlimit sandbox, runs
+// the guarded reduction on the requested substrate — streaming every
+// save-every-k checkpoint blob back over the response pipe as it is
+// produced — and ships the RunReport as a result frame. All of pfact's
+// actual failure handling lives OUTSIDE this process: a worker that dies
+// (SIGSEGV, OOM under RLIMIT_AS, SIGXCPU, a supervisor watchdog SIGKILL)
+// takes nothing with it but its own address space, and the checkpoints
+// already on the wire let the supervisor respawn a successor that resumes
+// where it stopped.
 //
 // Fork-safety: the guarded drivers are single-threaded by construction, so
 // the child never touches ThreadPool::global() — a forked child inherits
@@ -24,18 +25,14 @@ inline constexpr int kWorkerExitBadRequestFrame = 10;  // unreadable request
 inline constexpr int kWorkerExitBadRequestBody = 11;   // undecodable payload
 inline constexpr int kWorkerExitResultWriteFailed = 12;
 
-// Runs the whole worker conversation on the given pipe fds; returns the
-// process exit code (0 = result frame delivered). The caller — the forked
-// child in WorkerPool — must pass the return value straight to _exit().
-int worker_main(int request_fd, int response_fd);
-
-// The warm-pool variant: loops over request frames on the same pipe pair,
-// one job per frame, each answered by checkpoint frames plus one result
-// frame. A clean EOF on the request pipe — the pool retiring the slot —
-// returns 0; any protocol failure returns the same exit codes worker_main
-// uses. rlimit sandboxes still apply per job, which is why the pool retires
-// a slot after any rlimited job: RLIMIT_CPU is cumulative per process and a
-// hard limit can never be raised back.
+// Loops over request frames on one pipe pair, one job per frame, each
+// answered by checkpoint frames plus one result frame; returns the process
+// exit code, which the forked child must pass straight to _exit(). A clean
+// EOF on the request pipe — the pool retiring the slot — returns 0; a
+// protocol failure returns one of the codes above. rlimit sandboxes apply
+// per job, which is why the pool retires a slot after any rlimited job:
+// RLIMIT_CPU is cumulative per process and a hard limit can never be
+// raised back.
 int worker_loop_main(int request_fd, int response_fd);
 
 }  // namespace pfact::serve

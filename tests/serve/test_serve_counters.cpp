@@ -31,7 +31,6 @@
 #include "serve/result_cache.h"
 #include "serve/supervisor.h"
 #include "serve/warm_pool.h"
-#include "serve/worker_pool.h"
 
 namespace pfact::serve {
 namespace {
@@ -121,7 +120,7 @@ TEST(ServeCounters, KilledWedgedAndRecycledWorkersMoveTheirCounters) {
 }
 
 TEST(ServeCounters, SupervisedResumeHandoffIsCounted) {
-  WorkerPool pool;
+  WarmPool pool({.workers = 1, .recycle_after = 1});  // fresh per attempt
   SupervisorOptions opt;
   opt.retry.max_attempts = 3;
   opt.retry.base_delay = std::chrono::milliseconds(1);

@@ -10,10 +10,15 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <stdlib.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/builders.h"
@@ -418,6 +423,119 @@ TEST(ShardRouterTest, KillMidJobDecodesBitEqualToUnshardedBaseline) {
     EXPECT_TRUE(answered) << "round " << round << " never answered";
     ASSERT_TRUE(router.wait_all_serving(std::chrono::seconds(20)));
   }
+}
+
+// --- fork hygiene: a router next to a hosted service, and router death -----
+
+// A fresh socket directory per test, so "no shard socket left" is
+// checkable; removed with whatever is left in it, even when a test fails.
+struct SocketDir {
+  std::string path;
+  SocketDir() {
+    char tmpl[] = "/tmp/pfact_shard_test_XXXXXX";
+    if (::mkdtemp(tmpl) != nullptr) path = tmpl;
+  }
+  ~SocketDir() {
+    std::error_code ec;
+    if (!path.empty()) std::filesystem::remove_all(path, ec);
+  }
+  bool is_empty() const {
+    std::error_code ec;
+    return std::filesystem::is_empty(path, ec);
+  }
+};
+
+// A router started in a process that already hosts a service, its warm
+// workers and a Frontend must still certify through every shard. The shard
+// children inherit that process's fds and serve state; a warm worker forked
+// inside a shard must close only what it did not create, not fd numbers
+// that the shard's own pipes now reuse.
+TEST(ShardRouterTest, CertifiesNextToAHostedServiceAndFrontend) {
+  ReductionService host{ServiceOptions{}};  // the default 2-worker pool
+  FrontendOptions fo;
+  fo.unix_path =
+      "/tmp/pfact_test_host_" + std::to_string(::getpid()) + ".sock";
+  Frontend frontend(host, fo);
+  ASSERT_TRUE(frontend.running());
+
+  const SocketDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  {
+    RouterOptions ro = small_router(3);
+    ro.socket_dir = dir.path;
+    ShardRouter router(ro);
+    ASSERT_TRUE(router.wait_all_serving(std::chrono::seconds(10)));
+    for (unsigned m = 0; m < 16; ++m) {
+      const ReductionTask task = parity_task(4, m);
+      const RouteResult r = router.submit(task);
+      EXPECT_TRUE(r.response.certified)
+          << "mask " << m << ": " << r.response.report.detail;
+      EXPECT_EQ(r.response.value, task.expected()) << "mask " << m;
+    }
+  }
+  EXPECT_TRUE(dir.is_empty()) << "a shard socket outlived its router";
+}
+
+// A router that dies without its destructor (SIGKILL) takes its shards
+// with it: each shard holds PR_SET_PDEATHSIG = SIGTERM, drains, and exits.
+// This process becomes a child subreaper so the orphaned shards are
+// reparented here and their exits can be reaped and checked.
+TEST(ShardRouterTest, ShardsDieWithTheirRouter) {
+  constexpr std::size_t kShards = 2;
+  const SocketDir dir;
+  ASSERT_FALSE(dir.path.empty());
+  ASSERT_EQ(::prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  int pids[2];
+  ASSERT_EQ(::pipe(pids), 0);
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    ::close(pids[0]);
+    RouterOptions ro = small_router(kShards);
+    ro.socket_dir = dir.path;
+    ShardRouter router(ro);
+    for (std::size_t i = 0; i < kShards; ++i) {
+      const pid_t p = router.shard_pid(i);
+      if (::write(pids[1], &p, sizeof p) != sizeof p) ::_exit(1);
+    }
+    for (;;) ::pause();  // until the SIGKILL
+  }
+  ::close(pids[1]);
+  std::vector<pid_t> shards;
+  for (std::size_t i = 0; i < kShards; ++i) {
+    pid_t p = -1;
+    if (::read(pids[0], &p, sizeof p) != sizeof p) break;
+    shards.push_back(p);
+  }
+  ::close(pids[0]);
+  ::kill(helper, SIGKILL);
+  int st = 0;
+  ::waitpid(helper, &st, 0);
+  ASSERT_EQ(shards.size(), kShards);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::size_t gone = 0;
+  std::vector<bool> reaped(kShards, false);
+  while (gone < kShards && std::chrono::steady_clock::now() < deadline) {
+    for (std::size_t i = 0; i < kShards; ++i) {
+      if (!reaped[i] && shards[i] > 0 &&
+          ::waitpid(shards[i], &st, WNOHANG) == shards[i]) {
+        reaped[i] = true;
+        ++gone;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (std::size_t i = 0; i < kShards; ++i) {
+    EXPECT_TRUE(reaped[i]) << "shard " << shards[i] << " outlived its router";
+    if (!reaped[i] && shards[i] > 0) {
+      ::kill(shards[i], SIGKILL);
+      ::waitpid(shards[i], &st, 0);
+    }
+  }
+  ::prctl(PR_SET_CHILD_SUBREAPER, 0);
+  EXPECT_TRUE(dir.is_empty()) << "a shard socket outlived its router";
 }
 
 }  // namespace

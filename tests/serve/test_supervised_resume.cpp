@@ -17,7 +17,7 @@
 #include "robustness/guarded_run.h"
 #include "robustness/retry.h"
 #include "serve/supervisor.h"
-#include "serve/worker_pool.h"
+#include "serve/warm_pool.h"
 
 namespace pfact::serve {
 namespace {
@@ -83,7 +83,7 @@ SupervisorOptions fast_retry_options() {
 // worker, and compare against the uninterrupted in-process baseline.
 TEST(SupervisedResume, EveryKillPointResumesToTheSameDecodeAndTrace) {
   constexpr std::size_t kEvery = 2;
-  WorkerPool pool;
+  WarmPool pool({.workers = 1, .recycle_after = 1});  // fresh per attempt
   for (const ReductionTask& task : equivalence_tasks()) {
     const RunReport baseline = run_on_substrate(task, Substrate::kDouble);
     ASSERT_EQ(baseline.diagnostic, Diagnostic::kOk) << task.describe();
@@ -141,7 +141,7 @@ TEST(SupervisedResume, EveryKillPointResumesToTheSameDecodeAndTrace) {
 }
 
 TEST(SupervisedResume, WatchdogDeathMapsToDeadlineExceededAndRetries) {
-  WorkerPool pool;
+  WarmPool pool({.workers = 1, .recycle_after = 1});  // fresh per attempt
   ReductionTask task;
   task.algorithm = Algorithm::kGem;
   task.instance = circuit::CvpInstance{circuit::xor_circuit(), {true, true}};
@@ -161,7 +161,7 @@ TEST(SupervisedResume, WatchdogDeathMapsToDeadlineExceededAndRetries) {
 }
 
 TEST(SupervisedResume, CpuSandboxDeathMapsToResourceExhausted) {
-  WorkerPool pool;
+  WarmPool pool({.workers = 1, .recycle_after = 1});  // fresh per attempt
   ReductionTask task;
   task.algorithm = Algorithm::kGem;
   task.instance = circuit::CvpInstance{circuit::xor_circuit(), {false, true}};
@@ -180,7 +180,7 @@ TEST(SupervisedResume, CpuSandboxDeathMapsToResourceExhausted) {
 }
 
 TEST(SupervisedResume, RelentlessKillsExhaustTheLadderAsClassifiedFailure) {
-  WorkerPool pool;
+  WarmPool pool({.workers = 1, .recycle_after = 1});  // fresh per attempt
   ReductionTask task;
   task.algorithm = Algorithm::kGem;
   task.instance = circuit::CvpInstance{circuit::xor_circuit(), {true, false}};

@@ -19,7 +19,7 @@
 #include "robustness/guarded_run.h"
 #include "serve/result_cache.h"
 #include "serve/supervisor.h"
-#include "serve/worker_pool.h"
+#include "serve/warm_pool.h"
 
 namespace pfact::serve {
 namespace {
@@ -74,7 +74,7 @@ SupervisorOptions fast_retry_options() {
 
 TEST(SupervisedSparse, EveryKillPointResumesToTheDenseBaselineDecode) {
   constexpr std::size_t kEvery = 2;
-  WorkerPool pool;
+  WarmPool pool({.workers = 1, .recycle_after = 1});  // fresh per attempt
   for (const ReductionTask& task : sparse_tasks()) {
     // The equivalence anchor is the DENSE in-process run: the supervised
     // sparse answer must match it bit for bit, not merely itself.

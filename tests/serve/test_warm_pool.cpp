@@ -1,9 +1,11 @@
-// WarmPool lifecycle tests: pre-forked workers that live across jobs. The
-// contracts under test are the ones that distinguish a warm pool from the
-// cold one-fork-per-attempt WorkerPool: slots serve many jobs without
-// reforking, planned retirement (quota or sandbox taint) replaces a slot
-// through a clean EOF, and every real death — SIGKILL, genuine SIGSEGV,
-// watchdog — is classified with the shared taxonomy AND auto-respawned.
+// WarmPool lifecycle tests: real forked workers, real deaths. Slots serve
+// many jobs without reforking, planned retirement (quota or sandbox taint)
+// replaces a slot through a clean EOF, and every WorkerExit class is
+// produced here by actually ending a worker that way — SIGKILL, a genuine
+// wild store, a nonzero _exit, a spinning worker caught by the watchdog,
+// RLIMIT_CPU's SIGXCPU, and (through the fork seam) a worker that exits 0
+// without answering and a fork that fails — each classified with the
+// shared taxonomy AND auto-respawned, with this process fully intact.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -214,9 +216,9 @@ TEST(WarmPool, SupervisedRunResumesAcrossWarmWorkerDeaths) {
 // Two pools in one process must not entangle: pool B's children are forked
 // while pool A's request pipes are open, and an inherited duplicate of A's
 // write ends would keep A's workers from ever seeing their retirement EOF —
-// destroying A would then block forever in reap. The process-wide fd
-// registry closes every other pool's parent-side fds inside each fresh
-// child, so teardown stays prompt no matter the construction order.
+// destroying A would then block forever in reap. The fork rule closes every
+// fd a fresh child was not handed, so teardown stays prompt no matter the
+// construction order.
 TEST(WarmPool, CoexistingPoolsTearDownWithoutEntanglement) {
   const auto t0 = std::chrono::steady_clock::now();
   auto first = std::make_unique<WarmPool>(WarmPoolOptions{});
@@ -255,6 +257,122 @@ TEST(WarmPool, ConcurrentClientsShareTheSlots) {
   EXPECT_EQ(pool.stats().jobs, 8u);
   EXPECT_EQ(pool.stats().completed, 8u);
   EXPECT_EQ(pool.live_workers(), 2u);
+}
+
+TEST(WarmPool, NonzeroExitIsItsOwnClass) {
+  WarmPoolOptions o;
+  o.workers = 1;
+  WarmPool pool(o);
+  TaskRequest req = gem_request();
+  req.kill.mode = KillPlan::Mode::kExit;
+  const WorkerRun run = pool.run_task(req, nullptr);
+  EXPECT_EQ(run.exit, WorkerExit::kNonzeroExit) << run.detail;
+  EXPECT_EQ(run.exit_code, kKillPlanExitCode);
+  EXPECT_EQ(pool.live_workers(), 1u);
+}
+
+TEST(WarmPool, CpuRlimitSurfacesAsCpuLimit) {
+  WarmPoolOptions o;
+  o.workers = 1;
+  WarmPool pool(o);
+  TaskRequest req = gem_request();
+  req.kill.mode = KillPlan::Mode::kSpin;
+  req.rlimits.cpu_seconds = 1;  // the sandbox, not the watchdog, ends this
+  const WorkerRun run = pool.run_task(req, nullptr);
+  EXPECT_EQ(run.exit, WorkerExit::kCpuLimit) << run.detail;
+  EXPECT_EQ(run.term_signal, SIGXCPU);
+  EXPECT_EQ(pool.live_workers(), 1u);
+}
+
+TEST(WarmPool, EveryExitClassHasAPrintableName) {
+  for (WorkerExit e : all_worker_exits()) {
+    EXPECT_STRNE(worker_exit_name(e), "?");
+  }
+  EXPECT_EQ(all_worker_exits().size(), 7u);
+}
+
+// A worker that exits 0 without a result frame is a protocol error, not a
+// completion. The fork seam's first child exits before reading its
+// request; its replacement is a real worker.
+TEST(WarmPool, ExitWithoutAResultIsAProtocolErrorAndRespawns) {
+  int forks = 0;
+  WarmPoolOptions o;
+  o.workers = 1;
+  WarmPool pool(o, [&forks]() -> pid_t {
+    const pid_t pid = ::fork();
+    if (pid == 0 && forks == 0) ::_exit(0);
+    ++forks;
+    return pid;
+  });
+  const WorkerRun run = pool.run_task(gem_request(), nullptr);
+  EXPECT_EQ(run.exit, WorkerExit::kProtocolError) << run.detail;
+  EXPECT_EQ(run.exit_code, 0);
+  EXPECT_FALSE(run.has_result);
+  EXPECT_EQ(diagnose_worker_exit(run.exit), Diagnostic::kWorkerFailure);
+  EXPECT_EQ(robustness::classify_diagnostic(diagnose_worker_exit(run.exit)),
+            robustness::FailureKind::kTransient);
+  // Respawned: the slot is staffed again, and its new worker answers.
+  EXPECT_EQ(pool.stats().crashed, 1u);
+  EXPECT_EQ(pool.stats().spawned, 2u);
+  EXPECT_EQ(pool.live_workers(), 1u);
+  const TaskRequest clean = gem_request();
+  const WorkerRun again = pool.run_task(clean, nullptr);
+  ASSERT_EQ(again.exit, WorkerExit::kCompleted) << again.detail;
+  EXPECT_EQ(again.result.value, clean.task.expected());
+}
+
+// fork() exhaustion (EAGAIN on a pid-starved machine) is not producible on
+// demand, so the pool's fork seam injects it: the outcome must be the
+// classified kForkFailure — a transient resource-exhaustion diagnostic the
+// retry table backs off on — never a bare error string, and never a
+// phantom worker in the stats.
+TEST(WarmPool, ForkFailureIsClassifiedAndRetryable) {
+  WarmPool pool(WarmPoolOptions{}, [] { return static_cast<pid_t>(-1); });
+  const WorkerRun run = pool.run_task(gem_request(), nullptr);
+  EXPECT_EQ(run.exit, WorkerExit::kForkFailure) << run.detail;
+  EXPECT_FALSE(run.has_result);
+  EXPECT_EQ(pool.stats().spawned, 0u);  // no worker ever existed
+  EXPECT_EQ(pool.live_workers(), 0u);
+  EXPECT_EQ(diagnose_worker_exit(run.exit),
+            Diagnostic::kResourceExhausted);
+  EXPECT_EQ(robustness::classify_diagnostic(
+                diagnose_worker_exit(run.exit)),
+            robustness::FailureKind::kTransient);
+}
+
+// The supervisor retries through injected fork failures: two refused forks
+// followed by a healthy one still certify, with both refusals classified
+// in the attempt log. The seam also refuses the constructor's pre-fork, so
+// the slot starts dead and every lease must fork; the refusals counted
+// below are the first two leases'.
+TEST(WarmPool, SupervisorRetriesThroughForkFailures) {
+  int lease_refusals_left = 2;
+  bool prefork_refused = false;
+  WarmPoolOptions o;
+  o.workers = 1;
+  WarmPool pool(o, [&]() -> pid_t {
+    if (!prefork_refused) {
+      prefork_refused = true;
+      return -1;
+    }
+    if (lease_refusals_left > 0) {
+      --lease_refusals_left;
+      return -1;
+    }
+    return ::fork();
+  });
+  ASSERT_EQ(pool.live_workers(), 0u);
+  const TaskRequest req = gem_request();
+  SupervisorOptions options;
+  options.retry.max_attempts = 3;
+  const SupervisedReport rep = supervised_run(pool, req.task, options);
+  ASSERT_TRUE(rep.certified) << rep.to_string();
+  EXPECT_EQ(rep.value, req.task.expected());
+  ASSERT_EQ(rep.attempts.size(), 3u);
+  EXPECT_EQ(rep.attempts[0].diagnostic, Diagnostic::kResourceExhausted);
+  EXPECT_EQ(rep.attempts[1].diagnostic, Diagnostic::kResourceExhausted);
+  EXPECT_EQ(rep.attempts[2].diagnostic, Diagnostic::kOk);
+  EXPECT_EQ(lease_refusals_left, 0);
 }
 
 }  // namespace

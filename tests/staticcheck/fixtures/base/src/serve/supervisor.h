@@ -1,6 +1,6 @@
 #pragma once
 // staticcheck fixture: minimal worker-exit -> Diagnostic mapping in the
-// shape pfact_lint parses for PL009 (defined in worker_pool.h, diagnosed
+// shape pfact_lint parses for PL009 (defined in warm_pool.h, diagnosed
 // here — the cross-file pair the rule guards).
 
 namespace pfact::serve {

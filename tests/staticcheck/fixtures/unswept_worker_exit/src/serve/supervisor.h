@@ -1,7 +1,7 @@
 #pragma once
 // Part of the unswept_worker_exit overlay: kMystery IS diagnosed here, so
 // the only PL009 finding the fixture seeds is the missing sweep entry in
-// worker_pool.h.
+// warm_pool.h.
 
 namespace pfact::serve {
 

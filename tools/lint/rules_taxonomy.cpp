@@ -145,19 +145,19 @@ void check_diagnostics(Context& ctx) {
 }
 
 // PL009: the worker-death taxonomy is printable, diagnosable, and swept.
-// WorkerExit is DEFINED in src/serve/worker_pool.h (with its name switch and
+// WorkerExit is DEFINED in src/serve/warm_pool.h (with its name switch and
 // the all_worker_exits() sweep the soak harness certifies coverage against)
 // but DIAGNOSED in src/serve/supervisor.h — the classic cross-file gap this
 // tool exists for: a new death class compiles everywhere and silently falls
 // through to the kInternalError backstop at the first real crash.
 void check_worker_exits(Context& ctx) {
-  const std::string pool = ctx.scrub("src/serve/worker_pool.h");
+  const std::string pool = ctx.scrub("src/serve/warm_pool.h");
   const std::string sup = ctx.scrub("src/serve/supervisor.h");
   if (pool.empty() || sup.empty()) return;
   const std::vector<std::string> ids = parse_enum(pool, "WorkerExit");
   if (ids.empty()) {
     ctx.report("PL009", "worker-exit-unmapped",
-               "enum class WorkerExit not found in src/serve/worker_pool.h");
+               "enum class WorkerExit not found in src/serve/warm_pool.h");
     return;
   }
   const std::map<std::string, std::string> names = parse_switch_returns(

@@ -38,10 +38,10 @@
 // checkpoints the victim streamed over the pipe before dying). The kill-only
 // soak additionally certifies COVERAGE: every WorkerExit class except
 // kProtocolError and kForkFailure must be produced and survived at least
-// once (protocol errors need a corrupted-but-exit-0 worker that no
-// supported KillPlan produces, and fork exhaustion cannot be staged on
-// demand; tests/serve covers both with hand-built frames and the fork
-// injection seam).
+// once (protocol errors need a worker that exits 0 without a result frame,
+// which no supported KillPlan produces, and fork exhaustion cannot be
+// staged on demand; tests/serve/test_warm_pool.cpp produces both through
+// WarmPool's fork seam).
 //
 // With --serve the soak drives the full warm-worker ReductionService
 // instead: concurrent clients push jobs through admission control onto the
@@ -121,7 +121,7 @@
 #include "serve/router.h"
 #include "serve/shard.h"
 #include "serve/supervisor.h"
-#include "serve/worker_pool.h"
+#include "serve/warm_pool.h"
 
 using namespace pfact;
 using namespace pfact::robustness;
@@ -317,7 +317,8 @@ constexpr KillShape kKillShapes[] = {
 
 int run_kill_campaigns(const Options& opt, std::ofstream& log) {
   const std::vector<ReductionTask> pool_tasks = build_task_pool();
-  serve::WorkerPool pool;
+  // A fresh worker process for every attempt.
+  serve::WarmPool pool({.workers = 1, .recycle_after = 1});
   SoakStats stats;
   std::set<serve::WorkerExit> observed;
   std::size_t resume_handoffs = 0;
@@ -407,10 +408,10 @@ int run_kill_campaigns(const Options& opt, std::ofstream& log) {
   }
 
   // Coverage: every death class the pool can report was really produced
-  // and survived — except kProtocolError (no KillPlan yields exit-0 with a
-  // corrupt result frame; tests/serve covers it with hand-built frames)
-  // and kForkFailure (real fork exhaustion cannot be staged on demand;
-  // tests/serve covers it through the pool's fork-injection seam).
+  // and survived — except kProtocolError (no KillPlan yields exit-0
+  // without a result frame) and kForkFailure (real fork exhaustion cannot
+  // be staged on demand); tests/serve/test_warm_pool.cpp produces both
+  // through the pool's fork seam.
   if (ok && opt.campaigns >= std::size(kKillShapes)) {
     for (serve::WorkerExit e : serve::all_worker_exits()) {
       if (e == serve::WorkerExit::kProtocolError ||
@@ -426,7 +427,7 @@ int run_kill_campaigns(const Options& opt, std::ofstream& log) {
     }
   }
 
-  const serve::WorkerPool::Stats ps = pool.stats();
+  const serve::WarmPool::Stats ps = pool.stats();
   log << "summary certified=" << stats.certified
       << " attempts=" << stats.attempts
       << " workers-spawned=" << ps.spawned << " workers-crashed="
@@ -712,8 +713,7 @@ int run_serve_campaigns(const Options& opt, std::ofstream& log) {
 
   // Coverage: every real worker-death class was produced and survived
   // through the service path — same two exclusions as the kill-only soak
-  // (kProtocolError needs hand-built frames, kForkFailure needs the fork
-  // injection seam; tests/serve covers both).
+  // (tests/serve/test_warm_pool.cpp produces both through the fork seam).
   if (ok && opt.campaigns >= 7) {
     for (serve::WorkerExit e : serve::all_worker_exits()) {
       if (e == serve::WorkerExit::kProtocolError ||
