@@ -220,7 +220,7 @@ RouteResult ShardRouter::submit(const robustness::ReductionTask& task) {
   {
     par::MutexLock lock(mu_);
     ++stats_.submits;
-    fresh = served_keys_.count(key) == 0;
+    fresh = served_keys_.count(hash) == 0;
   }
 
   auto finalize = [&](RouteResult& out) -> RouteResult& {
@@ -292,7 +292,7 @@ RouteResult ShardRouter::submit(const robustness::ReductionTask& task) {
       rr.response = res.response;
       {
         par::MutexLock lock(mu_);
-        served_keys_.insert(key);
+        served_keys_.insert(hash);
         ++stats_.answered;
         if (idx == rr.home) ++stats_.answered_by_home;
       }

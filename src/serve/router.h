@@ -237,7 +237,11 @@ class ShardRouter {
   mutable par::Mutex mu_;
   std::vector<Shard> shards_ PFACT_GUARDED_BY(mu_);
   Stats stats_ PFACT_GUARDED_BY(mu_);
-  std::unordered_set<std::string> served_keys_ PFACT_GUARDED_BY(mu_);
+  // Ring hashes of the keys answered so far: brownout keeps routing these.
+  // The hash, not the key, because a key holds the whole circuit text and
+  // the set gains an entry for every distinct key the router ever answers.
+  // A collision only lets one fresh key through a brownout.
+  std::unordered_set<std::uint64_t> served_keys_ PFACT_GUARDED_BY(mu_);
   bool stopping_ PFACT_GUARDED_BY(mu_) = false;
   bool launched_ PFACT_GUARDED_BY(mu_) = false;  // first forks done
   std::atomic<std::size_t> in_flight_{0};

@@ -80,6 +80,8 @@ int run_one_request(TaskRequest req, int response_fd) {
   // Validation of the seed blob happens inside the guarded driver's
   // restore path — a blob that fails CRC/field/shape checks surfaces as
   // kCheckpointCorrupt in the result, never as a silent fresh start.
+  // That restore, at the start of the run, is the store's only reader, so
+  // it keeps just the newest blob; the supervisor files every shipped save.
   robustness::CheckpointStore store;
   if (!req.resume_blob.empty()) {
     store.put(req.resume_step, std::move(req.resume_blob));
@@ -97,6 +99,9 @@ int run_one_request(TaskRequest req, int response_fd) {
     write_frame(response_fd, FrameType::kCheckpoint,
                 encode_checkpoint_frame(step, blob));
     ++saves_shipped;
+    // The hook files this blob right after we return; dropping the older
+    // ones lets it reuse their pages instead of faulting in fresh ones.
+    store.clear();
     if (req.kill.mode != KillPlan::Mode::kNone &&
         saves_shipped >= req.kill.after_saves) {
       execute_kill(req.kill.mode);

@@ -1,18 +1,24 @@
-// Checkpoint format tests: lossless per-field round-trips, and the
-// rejection guarantee — a truncated blob, a bit flip at ANY byte offset, a
-// version skew, or a field-tag mismatch is always refused with a specific
-// CheckpointStatus, never parsed into a resumable state.
+// Checkpoint format tests: both CRC32 kernels against the bitwise
+// definition, lossless per-field round-trips, and the rejection guarantee —
+// a truncated blob, a bit flip at ANY byte offset, a version skew, or a
+// field-tag mismatch is always refused with a specific CheckpointStatus,
+// never parsed into a resumable state.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "factor/pivot_trace.h"
 #include "matrix/matrix.h"
+#include "matrix/sparse.h"
 #include "numeric/rational.h"
 #include "numeric/softfloat.h"
 #include "robustness/checkpoint.h"
+#include "robustness/crc32_kernels.h"
 
 namespace pfact::robustness {
 namespace {
@@ -20,10 +26,79 @@ namespace {
 using numeric::Float53;
 using numeric::Rational;
 
+using Crc32Kernel = std::uint32_t (*)(const void*, std::size_t);
+
 TEST(Crc32, MatchesTheIeeeReferenceVector) {
-  // The canonical CRC-32/ISO-HDLC check value.
-  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(crc32("", 0), 0x00000000u);
+  // The canonical CRC-32/ISO-HDLC check value, through the dispatched
+  // crc32() and through the portable kernel directly.
+  for (const Crc32Kernel kernel : {crc32, detail::crc32_slicing8}) {
+    EXPECT_EQ(kernel("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(kernel("", 0), 0x00000000u);
+  }
+}
+
+// The CRC register after `len` more bytes, one bit at a time: the
+// definition of CRC-32/ISO-HDLC (reflected 0xEDB88320), with no tables.
+std::uint32_t bitwise_update(std::uint32_t c, const unsigned char* p,
+                             std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k)
+      c = (c & 1u) != 0 ? (c >> 1) ^ 0xEDB88320u : c >> 1;
+  }
+  return c;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<unsigned char> out(n);
+  for (unsigned char& b : out) b = static_cast<unsigned char>(rng());
+  return out;
+}
+
+// Every length 0..1024 at every offset 0..15 (the folded kernel's 64-byte
+// loop, its 16-byte blocks and its table tail, at every alignment), then
+// 1 MiB and a few odd sizes.
+void expect_matches_bitwise(Crc32Kernel kernel) {
+  const std::vector<unsigned char> buf = random_bytes(1024 + 16, 1);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const unsigned char* p = buf.data() + offset;
+    std::uint32_t reg = 0xFFFFFFFFu;  // bitwise register after `len` bytes
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(kernel(p, len), ~reg)
+          << "offset " << offset << ", length " << len;
+      if (len < 1024) reg = bitwise_update(reg, p + len, 1);
+    }
+  }
+  const std::vector<unsigned char> big = random_bytes((1u << 20) + 16, 2);
+  for (const std::size_t len :
+       {std::size_t{1} << 20, std::size_t{(1u << 20) - 1}, std::size_t{4099},
+        std::size_t{65537}, std::size_t{100003}}) {
+    for (const std::size_t offset : {0, 5}) {
+      const unsigned char* p = big.data() + offset;
+      EXPECT_EQ(kernel(p, len), ~bitwise_update(0xFFFFFFFFu, p, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32Kernels, SlicingBy8MatchesTheBitwiseDefinition) {
+  expect_matches_bitwise(detail::crc32_slicing8);
+}
+
+TEST(Crc32Kernels, FoldedMatchesTheBitwiseDefinition) {
+#if PFACT_CRC32_HAVE_FOLDED
+  if (!detail::crc32_folded_supported())
+    GTEST_SKIP() << "this CPU lacks PCLMULQDQ or SSE4.1";
+  EXPECT_EQ(detail::crc32_folded("123456789", 9), 0xCBF43926u);
+  expect_matches_bitwise(detail::crc32_folded);
+#else
+  GTEST_SKIP() << "the folded kernel is built for x86-64 only";
+#endif
+}
+
+TEST(Crc32Kernels, DispatchedCrcMatchesTheBitwiseDefinition) {
+  expect_matches_bitwise(crc32);
 }
 
 template <class T>
@@ -207,25 +282,60 @@ TEST(CheckpointStore, DropLatestOnEmptyStoreIsAClassifiedNoOp) {
 }
 
 // The envelope check (field-agnostic header+CRC validation, used by the
-// serve/ supervisor on pipe frames) agrees with the full decoder on every
-// corruption the rejection suite exercises.
+// serve/ supervisor on pipe frames) and the full decoder give the same
+// verdict on every damaged blob, dense and sparse: truncations, foreign
+// bytes, a flipped payload byte, bytes after the declared payload, and a
+// declared length so large that header + length wraps around.
 TEST(CheckpointEnvelope, AgreesWithTheFullDecoderOnDamage) {
-  const std::string good = encode_checkpoint(sample_checkpoint<double>());
-  EXPECT_EQ(validate_checkpoint_envelope(good), CheckpointStatus::kOk);
-  EXPECT_EQ(validate_checkpoint_envelope(good.substr(0, good.size() / 2)),
-            CheckpointStatus::kTruncated);
-  EXPECT_EQ(validate_checkpoint_envelope(
-                good.substr(0, kCheckpointHeaderBytes - 1)),
-            CheckpointStatus::kTruncated);
-  EXPECT_EQ(validate_checkpoint_envelope(std::string(64, 'x')),
-            CheckpointStatus::kBadMagic);
-  std::string flipped = good;
-  flipped[good.size() - 1] =
-      static_cast<char>(flipped[good.size() - 1] ^ 0x40);
-  EXPECT_EQ(validate_checkpoint_envelope(flipped),
-            CheckpointStatus::kCrcMismatch);
-  EXPECT_EQ(validate_checkpoint_envelope(good + "tail"),
-            CheckpointStatus::kMalformed);
+  using SparseCheckpoint = StorageCheckpoint<sparse::SparseMatrix<double>>;
+  const auto with_length = [](std::string blob, std::uint64_t length) {
+    for (int i = 0; i < 8; ++i)
+      blob[8 + i] = static_cast<char>(length >> (8 * i));
+    return blob;
+  };
+  const auto expect_both = [](const std::string& blob, bool sparse,
+                              CheckpointStatus want, const char* what) {
+    EXPECT_EQ(validate_checkpoint_envelope(blob), want) << what;
+    if (sparse) {
+      SparseCheckpoint back;
+      EXPECT_EQ(decode_storage_checkpoint(blob, back), want) << what;
+    } else {
+      FactorCheckpoint<double> back;
+      EXPECT_EQ(decode_checkpoint<double>(blob, back), want) << what;
+    }
+  };
+
+  const FactorCheckpoint<double> dense = sample_checkpoint<double>();
+  SparseCheckpoint sparse;
+  sparse.algorithm = dense.algorithm;
+  sparse.next_step = dense.next_step;
+  sparse.matrix = sparse::SparseMatrix<double>::from_dense(dense.matrix);
+  for (const bool is_sparse : {false, true}) {
+    const std::string good =
+        is_sparse ? encode_checkpoint(sparse) : encode_checkpoint(dense);
+    std::string flipped = good;
+    flipped[good.size() - 1] =
+        static_cast<char>(flipped[good.size() - 1] ^ 0x40);
+    expect_both(good, is_sparse, CheckpointStatus::kOk, "intact");
+    expect_both(good.substr(0, good.size() / 2), is_sparse,
+                CheckpointStatus::kTruncated, "half");
+    expect_both(good.substr(0, kCheckpointHeaderBytes - 1), is_sparse,
+                CheckpointStatus::kTruncated, "header - 1");
+    expect_both(std::string(64, 'x'), is_sparse, CheckpointStatus::kBadMagic,
+                "foreign");
+    expect_both(flipped, is_sparse, CheckpointStatus::kCrcMismatch,
+                "flipped");
+    expect_both(good + "tail", is_sparse, CheckpointStatus::kMalformed,
+                "tail");
+    expect_both(good + std::string(1, '\0'), is_sparse,
+                CheckpointStatus::kMalformed, "one byte after");
+    for (const std::uint64_t back_off : {1u, 8u, 19u, 20u, 21u}) {
+      expect_both(with_length(good, ~std::uint64_t{0} - back_off + 1),
+                  is_sparse, CheckpointStatus::kTruncated, "wrapping length");
+    }
+    expect_both(with_length(good, good.size() - kCheckpointHeaderBytes + 1),
+                is_sparse, CheckpointStatus::kTruncated, "length + 1");
+  }
 }
 
 TEST(CheckpointFiles, RoundTripPreservesBinaryBlobs) {

@@ -7,6 +7,7 @@
 // whose CSR arrays violate any invariant (non-monotone row pointers,
 // unsorted/duplicate/out-of-range columns, stored zeros, nnz mismatch) is
 // kMalformed — a checkpoint that decodes is canonical by construction.
+// The one-pass double encoder must write exactly the per-field bytes.
 //
 // The whole matrix runs per sparse field tag, swept through
 // all_sparse_field_tags() — pfact_lint PL011 fails the build if a
@@ -14,16 +15,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "circuit/builders.h"
+#include "circuit/circuit.h"
 #include "factor/pivot_trace.h"
 #include "matrix/matrix.h"
 #include "matrix/sparse.h"
 #include "numeric/rational.h"
 #include "numeric/softfloat.h"
 #include "robustness/checkpoint.h"
+#include "robustness/escalation.h"
+#include "robustness/guarded_run.h"
 
 namespace pfact::robustness {
 namespace {
@@ -251,18 +259,27 @@ struct SparsePayload {
   std::vector<std::uint64_t> row_ptr = {0, 1, 2, 2};
   std::vector<std::uint64_t> col_idx = {0, 1};
   std::vector<double> values = {1.0, 2.0};
+  std::string algorithm = "GEM";
+  std::uint32_t strategy = 0;
+  std::uint64_t next_step = 1;
+  bool has_perm = false;
+  std::vector<std::uint64_t> perm;
+  std::vector<factor::PivotEvent> trace;
 };
 
+// Field by field, each entry as two ByteWriter::put_u64 calls (column, then
+// the value's bits): the per-field loop that the codec's one-pass double
+// path must match byte for byte.
 std::string assemble_blob(const SparsePayload& p) {
   detail::ByteWriter w;
   w.put_u32(kCheckpointMagic);
   w.put_u32(kCheckpointVersion);
   w.put_u64(0);  // length, patched below
   w.put_u32(0);  // crc, patched below
-  w.put_string("GEM");
+  w.put_string(p.algorithm);
   w.put_string(sparse_field_tag<double>());
-  w.put_u32(0);              // strategy
-  w.put_u64(1);              // next_step
+  w.put_u32(p.strategy);
+  w.put_u64(p.next_step);
   w.put_u64(p.rows);
   w.put_u64(p.cols);
   w.put_u64(p.nnz);
@@ -271,8 +288,18 @@ std::string assemble_blob(const SparsePayload& p) {
     w.put_u64(p.col_idx[i]);
     detail::ScalarCodec<double>::encode(w, p.values[i]);
   }
-  w.put_u8(0);   // no permutation
-  w.put_u64(0);  // no trace events
+  w.put_u8(p.has_perm ? 1 : 0);
+  if (p.has_perm) {
+    w.put_u64(p.perm.size());
+    for (const std::uint64_t to : p.perm) w.put_u64(to);
+  }
+  w.put_u64(p.trace.size());
+  for (const factor::PivotEvent& e : p.trace) {
+    w.put_u64(e.column);
+    w.put_u64(e.pivot_pos);
+    w.put_u64(e.pivot_row);
+    w.put_u32(static_cast<std::uint32_t>(e.action));
+  }
   const std::size_t length = w.bytes().size() - kCheckpointHeaderBytes;
   w.patch_u64(8, length);
   w.patch_u32(16, crc32(w.bytes().data() + kCheckpointHeaderBytes, length));
@@ -337,6 +364,92 @@ TEST(SparseCheckpointRejection, CrcValidCsrViolationsAreMalformed) {
     p.values = {1.0, 0.0};  // stored exact zero
     expect_malformed(p, "stored zero");
   }
+}
+
+// A checkpoint's fields as assemble_blob takes them.
+SparsePayload payload_of(const SparseCheckpoint<double>& c) {
+  SparsePayload p;
+  p.rows = c.matrix.rows();
+  p.cols = c.matrix.cols();
+  p.nnz = c.matrix.nnz();
+  p.row_ptr = {0};
+  p.col_idx.clear();
+  p.values.clear();
+  for (std::size_t i = 0; i < c.matrix.rows(); ++i) {
+    for (const auto& e : c.matrix.row(i)) {
+      p.col_idx.push_back(e.col);
+      p.values.push_back(e.value);
+    }
+    p.row_ptr.push_back(p.col_idx.size());
+  }
+  p.algorithm = c.algorithm;
+  p.strategy = c.strategy;
+  p.next_step = c.next_step;
+  p.has_perm = c.has_perm;
+  if (c.has_perm)
+    for (std::size_t i = 0; i < c.perm.size(); ++i) p.perm.push_back(c.perm[i]);
+  p.trace = c.trace.events();
+  return p;
+}
+
+TEST(SparseCheckpointBytes, OnePassEncoderWritesThePerFieldBytes) {
+  const auto dense_with = [](std::size_t rows, std::size_t cols,
+                             std::size_t stride) {
+    Matrix<double> m(rows, cols);
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < rows; ++i)
+      for (std::size_t j = 0; j < cols; ++j, ++k)
+        if (k % stride == 0) m(i, j) = (k % 2 == 0 ? -1.0 : 1.0) * (0.1 + k);
+    return SparseMatrix<double>::from_dense(m);
+  };
+  Matrix<double> gaps(5, 3);  // rows 0, 2 and 4 stay empty
+  gaps(1, 0) = 4.9e-324;      // the smallest subnormal
+  gaps(1, 2) = -1.0 / 3.0;
+  gaps(3, 1) = 1e300;
+
+  const std::map<std::string, SparseMatrix<double>> cases = {
+      {"0x0", SparseMatrix<double>()},
+      {"empty rows", SparseMatrix<double>::from_dense(gaps)},
+      {"wide", dense_with(2, 61, 3)},
+      {"tall", dense_with(61, 2, 3)},
+      {"all zero", SparseMatrix<double>(6, 4)},
+      {"full", dense_with(7, 7, 1)},
+  };
+  for (const auto& [name, matrix] : cases) {
+    SparseCheckpoint<double> c = sample_checkpoint<double>();
+    c.matrix = matrix;
+    c.has_perm = matrix.rows() != 0;
+    c.perm = Permutation(matrix.rows());
+    EXPECT_EQ(encode_checkpoint(c), assemble_blob(payload_of(c))) << name;
+  }
+}
+
+// A GEM reduction matrix mid-elimination, from a real sparse run's own
+// checkpoint: the blob the run saved, its decode re-encoded, and the
+// per-field encoding of that decode are the same bytes.
+TEST(SparseCheckpointBytes, MidEliminationGemCheckpointIsThePerFieldBytes) {
+  ReductionTask task;
+  task.algorithm = Algorithm::kGem;
+  task.backend = Backend::kSparse;
+  task.instance = circuit::CvpInstance{circuit::random_circuit(4, 24, 7),
+                                       {true, false, true, true}};
+  CheckpointStore store;
+  CheckpointConfig ckpt;
+  ckpt.every = 4;
+  ckpt.store = &store;
+  const RunReport rep = run_on_substrate(task, Substrate::kDouble, {}, {},
+                                         ckpt);
+  ASSERT_EQ(rep.diagnostic, Diagnostic::kOk) << rep.detail;
+  const std::map<std::uint64_t, std::string> blobs = store.blobs();
+  ASSERT_GE(blobs.size(), 3u);
+  const std::string& mid = std::next(blobs.begin(), blobs.size() / 2)->second;
+
+  SparseCheckpoint<double> c;
+  ASSERT_EQ(decode_storage_checkpoint(mid, c), CheckpointStatus::kOk);
+  EXPECT_GT(c.next_step, 0u);
+  EXPECT_GT(c.matrix.nnz(), c.matrix.rows());
+  EXPECT_EQ(encode_checkpoint(c), mid);
+  EXPECT_EQ(assemble_blob(payload_of(c)), mid);
 }
 
 }  // namespace
