@@ -79,6 +79,7 @@ const char* counter_name(Counter c) {
     case Counter::kFrontendBytesRead: return "frontend-bytes-read";
     case Counter::kFrontendBytesWritten: return "frontend-bytes-written";
     case Counter::kClientRetries: return "client-retries";
+    case Counter::kClientStaleReconnects: return "client-stale-reconnects";
     case Counter::kFrontendProbes: return "frontend-probes";
     case Counter::kRouterRoutes: return "router-routes";
     case Counter::kRouterFailovers: return "router-failovers";

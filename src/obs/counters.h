@@ -132,6 +132,8 @@ enum class Counter : std::size_t {
   kFrontendBytesRead,         // request-side bytes read off client sockets
   kFrontendBytesWritten,      // response-side bytes written to client sockets
   kClientRetries,             // client library retry attempts (transient)
+  kClientStaleReconnects,     // pooled client sockets found closed or reset
+                              // before an answer and replaced by a fresh one
 
   // --- serve/: shard router -------------------------------------------------
   kFrontendProbes,            // health heartbeats echoed by the event loop

@@ -36,19 +36,21 @@ std::string frame_bytes(FrameType type, std::string_view payload) {
   return w.take();
 }
 
-// Writes exactly [data, data+n), absorbing EINTR and partial writes.
-// False = the peer is gone (EPIPE/ECONNRESET) or the fd broke.
-bool write_all(int fd, const char* data, std::size_t n) {
+// Writes exactly [data, data+n), absorbing EINTR and partial writes. The
+// verdicts are write_frame's: kConnReset when the peer is gone
+// (EPIPE/ECONNRESET), kIoError when the fd broke otherwise.
+WireStatus write_all(int fd, const char* data, std::size_t n) {
   std::size_t off = 0;
   while (off < n) {
     const ssize_t w = ::write(fd, data + off, n - off);
     if (w < 0) {
       if (errno == EINTR) continue;
-      return false;
+      return errno == EPIPE || errno == ECONNRESET ? WireStatus::kConnReset
+                                                   : WireStatus::kIoError;
     }
     off += static_cast<std::size_t>(w);
   }
-  return true;
+  return WireStatus::kOk;
 }
 
 // Completes a connect() that a signal interrupted. POSIX leaves the attempt
@@ -91,6 +93,30 @@ Client::Client(ClientOptions options) : options_(std::move(options)) {
   ::signal(SIGPIPE, SIG_IGN);
 }
 
+Client::~Client() {
+  par::MutexLock lock(mu_);
+  for (const int fd : idle_) ::close(fd);
+}
+
+int Client::take_idle() {
+  par::MutexLock lock(mu_);
+  if (idle_.empty()) return -1;
+  const int fd = idle_.back();
+  idle_.pop_back();
+  return fd;
+}
+
+void Client::keep_idle(int fd) {
+  {
+    par::MutexLock lock(mu_);
+    if (idle_.size() < kMaxIdle) {
+      idle_.push_back(fd);
+      return;
+    }
+  }
+  ::close(fd);
+}
+
 int Client::connect_once() {
   if (!options_.unix_path.empty()) {
     sockaddr_un addr{};
@@ -126,18 +152,49 @@ int Client::connect_once() {
   return -1;
 }
 
+// Reads and decodes one response frame into `a`; the caller owns fd.
+void Client::read_response(int fd, Attempt& a) {
+  FrameType type = FrameType::kRequest;
+  std::string payload;
+  const auto deadline =
+      std::chrono::steady_clock::now() + options_.response_deadline;
+  a.wire = read_frame(fd, type, payload, deadline);
+  if (a.wire != WireStatus::kOk) {
+    a.status = status_for_wire(a.wire);
+    return;
+  }
+  if (type != FrameType::kResponse ||
+      !decode_response(payload, a.response)) {
+    a.wire = WireStatus::kMalformed;
+    a.status = FrontendStatus::kConnReset;  // desynced stream: reconnect
+    return;
+  }
+  a.got_response = true;
+  a.status = a.response.status;
+}
+
+// One unsabotaged conversation on fd. A socket left at a frame boundary (a
+// kAccepted response that decoded) goes back to the idle list; any other
+// ending closes it.
+Client::Attempt Client::exchange(int fd, const std::string& frame) {
+  Attempt a;
+  a.wire = write_all(fd, frame.data(), frame.size());
+  if (a.wire == WireStatus::kOk) {
+    read_response(fd, a);
+  } else {
+    a.status = FrontendStatus::kConnReset;
+  }
+  if (a.got_response && a.status == FrontendStatus::kAccepted) {
+    keep_idle(fd);
+  } else {
+    ::close(fd);
+  }
+  return a;
+}
+
 Client::Attempt Client::run_attempt(const robustness::ReductionTask& task,
                                     std::size_t attempt_no) {
   PFACT_SPAN("serve.client");
-  Attempt a;
-  const int fd = connect_once();
-  if (fd < 0) {
-    // Nobody listening (or refused): the transport-level transient.
-    a.wire = WireStatus::kConnReset;
-    a.status = FrontendStatus::kConnReset;
-    return a;
-  }
-
   TaskRequest req;
   req.task = task;
   const std::string frame = frame_bytes(FrameType::kRequest,
@@ -147,66 +204,86 @@ Client::Attempt Client::run_attempt(const robustness::ReductionTask& task,
   const bool sabotage = fault.fault != NetFault::kNone &&
                         fault.on_attempt != 0 &&
                         attempt_no == fault.on_attempt;
-  bool wrote_ok = true;
   if (!sabotage) {
-    wrote_ok = write_all(fd, frame.data(), frame.size());
-  } else {
-    a.fault_injected = true;
-    const std::uint64_t r = robustness::mix64(fault.seed, attempt_no);
-    switch (fault.fault) {
-      case NetFault::kNone: break;  // unreachable: sabotage implies a shape
-      case NetFault::kTornFrame: {
-        // A strict prefix, then vanish — the mid-request client death.
-        const std::size_t cut = 1 + static_cast<std::size_t>(
-                                        r % (frame.size() - 1));
-        write_all(fd, frame.data(), cut);
-        ::close(fd);
-        a.wire = WireStatus::kConnReset;
-        a.status = FrontendStatus::kConnReset;
+    // An idle socket first. It is stale (client.h) when the write found the
+    // peer gone or the read ended in EOF or a reset: the frontend answers
+    // only after reading a whole request, and a reset needs request bytes
+    // left unread, so neither carried a response byte.
+    const int idle = take_idle();
+    if (idle >= 0) {
+      Attempt a = exchange(idle, frame);
+      if (a.wire != WireStatus::kEof && a.wire != WireStatus::kConnReset) {
         return a;
       }
-      case NetFault::kMidFrameClose: {
-        // Die INSIDE the 17-byte header: the server must not even have a
-        // declared length to wait for.
-        const std::size_t cut =
-            1 + static_cast<std::size_t>(r % (kFrameHeaderBytes - 1));
-        write_all(fd, frame.data(), cut);
-        ::close(fd);
-        a.wire = WireStatus::kConnReset;
-        a.status = FrontendStatus::kConnReset;
-        return a;
-      }
-      case NetFault::kDribble: {
-        // The whole frame, one byte per write: a correct-but-slow client.
-        // This shape must SUCCEED — it proves partial-read resumption.
-        for (std::size_t i = 0; wrote_ok && i < frame.size(); ++i) {
-          wrote_ok = write_all(fd, frame.data() + i, 1);
-          if (i % 64 == 63) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
+      PFACT_COUNT(kClientStaleReconnects);
+    }
+  }
+
+  Attempt a;
+  const int fd = connect_once();
+  if (fd < 0) {
+    // Nobody listening (or refused): the transport-level transient.
+    a.wire = WireStatus::kConnReset;
+    a.status = FrontendStatus::kConnReset;
+    return a;
+  }
+  if (!sabotage) return exchange(fd, frame);
+  a.fault_injected = true;
+  const std::uint64_t r = robustness::mix64(fault.seed, attempt_no);
+  bool wrote_ok = true;
+  switch (fault.fault) {
+    case NetFault::kNone: break;  // unreachable: sabotage implies a shape
+    case NetFault::kTornFrame: {
+      // A strict prefix, then vanish — the mid-request client death.
+      const std::size_t cut = 1 + static_cast<std::size_t>(
+                                      r % (frame.size() - 1));
+      write_all(fd, frame.data(), cut);
+      ::close(fd);
+      a.wire = WireStatus::kConnReset;
+      a.status = FrontendStatus::kConnReset;
+      return a;
+    }
+    case NetFault::kMidFrameClose: {
+      // Die INSIDE the 17-byte header: the server must not even have a
+      // declared length to wait for.
+      const std::size_t cut =
+          1 + static_cast<std::size_t>(r % (kFrameHeaderBytes - 1));
+      write_all(fd, frame.data(), cut);
+      ::close(fd);
+      a.wire = WireStatus::kConnReset;
+      a.status = FrontendStatus::kConnReset;
+      return a;
+    }
+    case NetFault::kDribble: {
+      // The whole frame, one byte per write: a correct-but-slow client.
+      // This shape must SUCCEED — it proves partial-read resumption.
+      for (std::size_t i = 0; wrote_ok && i < frame.size(); ++i) {
+        wrote_ok = write_all(fd, frame.data() + i, 1) == WireStatus::kOk;
+        if (i % 64 == 63) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
-        break;
       }
-      case NetFault::kStalledReader: {
-        // Half a frame, then silence with the connection held open: the
-        // slowloris. The server's read deadline must evict us.
-        const std::size_t cut = kFrameHeaderBytes + (frame.size() -
-                                                     kFrameHeaderBytes) / 2;
-        write_all(fd, frame.data(), cut);
-        std::this_thread::sleep_for(fault.stall);
-        break;  // fall through to the read: expect kDeadline (or a close)
+      break;
+    }
+    case NetFault::kStalledReader: {
+      // Half a frame, then silence with the connection held open: the
+      // slowloris. The server's read deadline must evict us.
+      const std::size_t cut = kFrameHeaderBytes + (frame.size() -
+                                                   kFrameHeaderBytes) / 2;
+      write_all(fd, frame.data(), cut);
+      std::this_thread::sleep_for(fault.stall);
+      break;  // fall through to the read: expect kDeadline (or a close)
+    }
+    case NetFault::kGarbagePreamble: {
+      // Junk where a frame should start: the protocol-confused client.
+      std::string junk(16 + static_cast<std::size_t>(r % 32), '\0');
+      for (std::size_t i = 0; i < junk.size(); ++i) {
+        junk[i] = static_cast<char>(robustness::mix64(r, i) & 0xFF);
       }
-      case NetFault::kGarbagePreamble: {
-        // Junk where a frame should start: the protocol-confused client.
-        std::string junk(16 + static_cast<std::size_t>(r % 32), '\0');
-        for (std::size_t i = 0; i < junk.size(); ++i) {
-          junk[i] = static_cast<char>(robustness::mix64(r, i) & 0xFF);
-        }
-        // Junk must not start with a valid magic byte sequence.
-        junk[0] = static_cast<char>(~(kFrameMagic & 0xFF));
-        write_all(fd, junk.data(), junk.size());
-        break;  // expect a kMalformedFrame refusal
-      }
+      // Junk must not start with a valid magic byte sequence.
+      junk[0] = static_cast<char>(~(kFrameMagic & 0xFF));
+      write_all(fd, junk.data(), junk.size());
+      break;  // expect a kMalformedFrame refusal
     }
   }
   if (!wrote_ok) {
@@ -215,25 +292,8 @@ Client::Attempt Client::run_attempt(const robustness::ReductionTask& task,
     a.status = FrontendStatus::kConnReset;
     return a;
   }
-
-  FrameType type = FrameType::kRequest;
-  std::string payload;
-  const auto deadline =
-      std::chrono::steady_clock::now() + options_.response_deadline;
-  a.wire = read_frame(fd, type, payload, deadline);
+  read_response(fd, a);
   ::close(fd);
-  if (a.wire != WireStatus::kOk) {
-    a.status = status_for_wire(a.wire);
-    return a;
-  }
-  if (type != FrameType::kResponse ||
-      !decode_response(payload, a.response)) {
-    a.wire = WireStatus::kMalformed;
-    a.status = FrontendStatus::kConnReset;  // desynced stream: reconnect
-    return a;
-  }
-  a.got_response = true;
-  a.status = a.response.status;
   return a;
 }
 

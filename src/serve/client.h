@@ -8,11 +8,25 @@
 // arithmetic as the supervisor — bit-identical delay sequences for a given
 // seed), deterministic refusals fail fast.
 //
-// One submit() is a sequence of attempts. Each attempt opens a fresh
-// connection (a failed conversation leaves a stream in an unknowable state;
-// reconnecting is the only sound resync), writes one kRequest frame, and
-// reads one kResponse frame under a deadline. The outcome is classified
-// from whichever layer refused first:
+// One submit() is a sequence of attempts. Each attempt writes one kRequest
+// frame and reads one kResponse frame under a deadline. It reuses a socket
+// that a clean exchange left at a frame boundary (a kAccepted response that
+// decoded) and connects only when none is idle. Every other ending closes
+// its socket: a failed conversation leaves a stream in an unknowable state,
+// and reconnecting is the only sound resync. The frontend serves any number
+// of frames per connection, so a cache hit costs one round trip, not a
+// connect, an accept and a close.
+//
+// A reused socket can be stale: its shard died or respawned at the same
+// path, or its frontend drained and closed it. If the write fails with
+// EPIPE/ECONNRESET, or the read ends in EOF or a reset before any response
+// byte, the attempt closes it and sends the same frame once down a fresh
+// connection. That resend is not an attempt — attempts, backoffs and every
+// classification see only the fresh connection's outcome — and it is safe:
+// the frontend never closes a socket that holds request bytes (its drain
+// peeks the kernel buffer and answers kDraining), and a reduction request
+// is idempotent. The outcome is classified from whichever layer refused
+// first:
 //
 //   * transport never answered (connect refused, reset, torn response,
 //     deadline)                    -> Diagnostic::kConnReset / kDeadline...
@@ -27,6 +41,7 @@
 // server answered: the injector corrupted the transport, so a clean retry
 // is sound — while in production a kMalformedFrame refusal is FATAL (the
 // client's own framing is broken; resending identical bytes cannot help).
+// A sabotaged attempt always runs on a fresh socket and closes it.
 
 #include <chrono>
 #include <cstddef>
@@ -35,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "parallel/annotations.h"
 #include "robustness/diagnostics.h"
 #include "robustness/escalation.h"
 #include "robustness/retry.h"
@@ -86,8 +102,13 @@ class Client {
   // classified EPIPE, never kill the client), same disposition the serve
   // layer's pools install.
   explicit Client(ClientOptions options);
+  ~Client();  // closes the idle sockets
 
-  // Submits one task through the retry loop. Blocking; never throws.
+  Client(const Client&) = delete;
+  Client& operator=(const Client&) = delete;
+
+  // Submits one task through the retry loop. Blocking; never throws. Safe
+  // to call from many threads at once: each exchange owns its socket.
   ClientResult submit(const robustness::ReductionTask& task);
 
  private:
@@ -99,11 +120,21 @@ class Client {
     bool fault_injected = false;
   };
 
+  // The most sockets kept idle. Below the Frontend's default
+  // max_connections of 32, so a few pooled clients cannot fill its slots.
+  static constexpr std::size_t kMaxIdle = 8;
+
   int connect_once();
+  int take_idle();
+  void keep_idle(int fd);
+  Attempt exchange(int fd, const std::string& frame);
+  void read_response(int fd, Attempt& a);
   Attempt run_attempt(const robustness::ReductionTask& task,
                       std::size_t attempt_no);
 
   ClientOptions options_;
+  par::Mutex mu_;
+  std::vector<int> idle_ PFACT_GUARDED_BY(mu_);  // at a frame boundary
 };
 
 }  // namespace pfact::serve

@@ -66,6 +66,14 @@ ShardRouter::ShardRouter(RouterOptions options) : options_(std::move(options)) {
                        std::to_string(serial) + "_" + std::to_string(i) +
                        ".sock";
     s.spec.service = options_.service;
+    // The router is the retry layer, so its clients make one attempt each.
+    // A respawned shard keeps its path, so these clients outlive it: their
+    // idle sockets to the dead process fail as stale and are replaced.
+    ClientOptions co;
+    co.unix_path = s.spec.unix_path;
+    co.retry.max_attempts = 1;
+    co.response_deadline = options_.response_deadline;
+    clients_.push_back(std::make_unique<Client>(std::move(co)));
   }
   // The supervisor thread forks the first shards, as it forks every
   // respawn; the router is not constructed until they exist.
@@ -267,22 +275,15 @@ RouteResult ShardRouter::submit(const robustness::ReductionTask& task) {
   FrontendResponse last_refusal;
   for (const std::size_t idx : order) {
     ShardStatus st;
-    std::string path;
     {
       par::MutexLock lock(mu_);
       st = shards_[idx].status;
-      path = shards_[idx].spec.unix_path;
     }
     if (st != ShardStatus::kServing && st != ShardStatus::kStarting) {
       ++rr.failovers;  // known-bad: skip, this hop is the failover
       continue;
     }
-    ClientOptions co;
-    co.unix_path = path;
-    co.retry.max_attempts = 1;  // the router IS the retry layer
-    co.response_deadline = options_.response_deadline;
-    Client client(co);
-    const ClientResult res = client.submit(task);
+    const ClientResult res = clients_[idx]->submit(task);
     const bool decoded = res.wire == WireStatus::kOk;
     if (res.ok) {
       rr.shard = idx;

@@ -42,6 +42,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -233,6 +234,9 @@ class ShardRouter {
 
   RouterOptions options_;
   std::vector<std::pair<std::uint64_t, std::size_t>> ring_;  // sorted points
+  // One long-lived client per shard, shared by every submit: each keeps its
+  // shard's idle sockets. Built by the constructor, never changed after.
+  std::vector<std::unique_ptr<Client>> clients_;
 
   mutable par::Mutex mu_;
   std::vector<Shard> shards_ PFACT_GUARDED_BY(mu_);

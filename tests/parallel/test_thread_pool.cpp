@@ -157,11 +157,18 @@ TEST(SweepFastPath, NestedCallFromTheCallersLaneRunsInline) {
   // The caller works lane 0 of its own sweep; a parallel_for it starts from
   // there must not wait on the pool its sweep occupies. The worker naps in
   // its chunk so it cannot also take the caller's before the caller joins.
+  // Under CPU load the caller can still lose both indices to the lane
+  // workers for many reps, so reps go on until its lane has taken one.
   ThreadPool pool(2);
   const std::thread::id me = std::this_thread::get_id();
   std::atomic<int> nested_on_caller{0};
   std::atomic<int> inner_total{0};
-  for (int rep = 0; rep < 20; ++rep) {
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(2);
+  for (int rep = 0;
+       rep < 20 || (nested_on_caller.load() == 0 &&
+                    std::chrono::steady_clock::now() < give_up);
+       ++rep) {
     parallel_for(
         0, 2,
         [&](std::size_t) {

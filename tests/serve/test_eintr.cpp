@@ -64,7 +64,9 @@ class StormDisposition {
 
 // Fires SIGUSR1 at a target thread (and, optionally, the whole process so
 // the frontend's own poll loop catches strays too) every ~200us until
-// stopped.
+// stopped. The constructor returns once the first volley is out: on a busy
+// host the stormed code could otherwise finish before this thread first
+// runs, and the storm would never land.
 class SignalStorm {
  public:
   explicit SignalStorm(pthread_t target, bool process_wide = false)
@@ -72,9 +74,12 @@ class SignalStorm {
           while (!stop_.load(std::memory_order_relaxed)) {
             pthread_kill(target_, SIGUSR1);
             if (process_wide_) ::kill(::getpid(), SIGUSR1);
+            fired_.store(true, std::memory_order_release);
             std::this_thread::sleep_for(std::chrono::microseconds(200));
           }
-        }) {}
+        }) {
+    while (!fired_.load(std::memory_order_acquire)) std::this_thread::yield();
+  }
   ~SignalStorm() {
     stop_.store(true, std::memory_order_relaxed);
     thread_.join();
@@ -84,6 +89,7 @@ class SignalStorm {
   pthread_t target_;
   bool process_wide_;
   std::atomic<bool> stop_{false};
+  std::atomic<bool> fired_{false};
   std::thread thread_;
 };
 

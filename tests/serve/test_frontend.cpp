@@ -569,5 +569,127 @@ TEST(FrontendClient, BackoffMirrorsRetryPolicyBitForBit) {
   EXPECT_EQ(r.backoffs, slept);
 }
 
+// --- connection reuse ----------------------------------------------------------
+
+constexpr bool kObsOn = PFACT_OBS_ENABLED != 0;
+
+TEST(FrontendReuse, OneClientKeepsOneConnectionAcrossSubmits) {
+  Rig rig;
+  Client client(rig.client_options());
+  for (int i = 0; i < 20; ++i) {
+    const ClientResult r = client.submit(gem_xor_task());
+    ASSERT_TRUE(r.ok) << i << ": " << frontend_status_name(r.status);
+    EXPECT_EQ(r.attempts, 1u);
+  }
+  EXPECT_EQ(rig.frontend->stats().conns_accepted, 1u);
+  EXPECT_EQ(rig.frontend->stats().status(FrontendStatus::kAccepted), 20u);
+}
+
+TEST(FrontendReuse, ThreadsSharingOneClientOpenAtMostOneSocketEach) {
+  Rig rig;
+  Client client(rig.client_options());
+  ASSERT_TRUE(client.submit(gem_xor_task()).ok);  // later submits hit cache
+  constexpr int kThreads = 8;
+  constexpr int kSubmits = 20;
+  std::atomic<int> answered{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kSubmits; ++i) {
+        const ClientResult r = client.submit(gem_xor_task());
+        if (r.ok && r.response.value == gem_xor_task().expected()) {
+          ++answered;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(answered.load(), kThreads * kSubmits);
+  EXPECT_LE(rig.frontend->stats().conns_accepted,
+            static_cast<std::uint64_t>(kThreads));
+}
+
+// A job whose only worker spins until the watchdog kills it: it holds the
+// service's one dispatcher for the watchdog window.
+JobOptions wedge_job(std::chrono::milliseconds watchdog) {
+  JobOptions job;
+  job.kill_for_attempt = [](std::size_t attempt) {
+    KillPlan kill;
+    if (attempt == 1) kill.mode = KillPlan::Mode::kSpin;
+    return kill;
+  };
+  job.watchdog = watchdog;
+  return job;
+}
+
+TEST(FrontendReuse, RefusalClosesTheReusedSocket) {
+  ::signal(SIGPIPE, SIG_IGN);
+  ServiceOptions so;
+  so.dispatchers = 1;
+  so.queue_depth = 1;
+  so.pool.workers = 1;
+  so.supervisor.retry.max_attempts = 1;
+  ReductionService service(so);
+  FrontendOptions fo;
+  fo.unix_path = unique_socket_path();
+  Frontend frontend(service, fo);
+  ASSERT_TRUE(frontend.running());
+  ClientOptions co;
+  co.unix_path = fo.unix_path;
+  co.retry.max_attempts = 1;  // a retry would connect afresh
+  Client client(co);
+  ASSERT_TRUE(client.submit(gem_xor_task()).ok);
+
+  // Wedge the one dispatcher, then fill the one queue slot: a filler is
+  // admitted only once the wedge has left the queue for the dispatcher.
+  auto wedge = service.submit(unique_chain_task(1),
+                              wedge_job(std::chrono::milliseconds(500)));
+  std::shared_ptr<ReductionService::Pending> filler;
+  ASSERT_TRUE(wait_until([&] {
+    filler = service.submit(unique_chain_task(2));
+    const ServiceResponse* shed = filler->poll_response();
+    return shed == nullptr || shed->admission != Admission::kShedQueueFull;
+  }));
+  const ClientResult refused = client.submit(gem_xor_task());
+  EXPECT_EQ(refused.status, FrontendStatus::kOverloaded);
+  EXPECT_EQ(frontend.stats().conns_accepted, 1u)
+      << "the refusal must arrive on the reused socket";
+
+  wedge->wait();
+  filler->wait();
+  const ClientResult after = client.submit(gem_xor_task());
+  ASSERT_TRUE(after.ok) << frontend_status_name(after.status);
+  EXPECT_EQ(frontend.stats().conns_accepted, 2u)
+      << "a refused socket must be closed, not reused";
+}
+
+TEST(FrontendReuse, ReplacedFrontendCostsOneSilentReconnect) {
+  Rig rig;
+  Client client(rig.client_options());
+  ASSERT_TRUE(client.submit(gem_xor_task()).ok);
+
+  // Drain and replace the frontend at the same path: its drain closes the
+  // client's idle socket, which the next submit finds dead.
+  const std::string path = rig.frontend->unix_path();
+  rig.frontend.reset();
+  FrontendOptions fo;
+  fo.unix_path = path;
+  rig.frontend = std::make_unique<Frontend>(*rig.service, fo);
+  ASSERT_TRUE(rig.frontend->running());
+
+  obs::ScopedCounters sc;
+  const ClientResult r = client.submit(gem_xor_task());
+  ASSERT_TRUE(r.ok) << frontend_status_name(r.status);
+  EXPECT_EQ(r.attempts, 1u);
+  EXPECT_TRUE(r.backoffs.empty());
+  EXPECT_EQ(r.response.value, gem_xor_task().expected());
+  EXPECT_EQ(rig.frontend->stats().conns_accepted, 1u);
+  if (kObsOn) {
+    const obs::CounterDelta d = sc.delta();
+    EXPECT_EQ(d[obs::Counter::kClientStaleReconnects], 1u);
+    EXPECT_EQ(d[obs::Counter::kClientRetries], 0u);
+  }
+}
+
 }  // namespace
 }  // namespace pfact::serve

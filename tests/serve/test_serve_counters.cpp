@@ -223,21 +223,25 @@ TEST(ServeCounters, FrontendTrafficCountsConnsBytesAndClientRetries) {
   FrontendOptions fo;
   fo.unix_path = "/tmp/pfact-counter-cov-" + std::to_string(::getpid()) +
                  ".sock";
-  Frontend frontend(service, fo);
-  ASSERT_TRUE(frontend.running());
+  {
+    Frontend frontend(service, fo);
+    ASSERT_TRUE(frontend.running());
 
-  ClientOptions co;
-  co.unix_path = frontend.unix_path();
-  co.retry.max_attempts = 3;
-  co.retry.base_delay = std::chrono::milliseconds(1);
-  co.fault.fault = NetFault::kTornFrame;
-  co.fault.seed = 7;
-  co.fault.on_attempt = 1;  // sabotage attempt 1, forcing one client retry
-  Client client(co);
-  const ClientResult r = client.submit(chain_task(6));
-  ASSERT_TRUE(r.ok) << frontend_status_name(r.status);
-  EXPECT_EQ(r.attempts, 2u);
-
+    ClientOptions co;
+    co.unix_path = frontend.unix_path();
+    co.retry.max_attempts = 3;
+    co.retry.base_delay = std::chrono::milliseconds(1);
+    co.fault.fault = NetFault::kTornFrame;
+    co.fault.seed = 7;
+    co.fault.on_attempt = 1;  // sabotage attempt 1, forcing one client retry
+    Client client(co);
+    const ClientResult r = client.submit(chain_task(6));
+    ASSERT_TRUE(r.ok) << frontend_status_name(r.status);
+    EXPECT_EQ(r.attempts, 2u);
+  }
+  // The loop thread counts a response's bytes after send() returns, so the
+  // client can read them first. ~Frontend joins that thread, and its
+  // counter block outlives it: only now is every byte counted.
   const CounterDelta d = sc.delta();
   if (!kObsOn) return;
   EXPECT_GE(d[Counter::kFrontendConnsAccepted], 2u);

@@ -290,6 +290,40 @@ TEST(ShardRouterTest, FailsOverAroundAKilledShardAndHeals) {
   }
 }
 
+// The router keeps one client per shard, and a respawned shard keeps its
+// socket path. The router's idle socket to the killed process is stale; the
+// first submit after the heal replaces it silently and is answered at home.
+TEST(ShardRouterTest, RespawnedHomeShardAnswersWithoutAFailover) {
+  ShardRouter router(small_router(2));
+  ASSERT_TRUE(router.wait_all_serving(std::chrono::seconds(10)));
+  const ReductionTask task = gem_xor_task(false, true);
+  ASSERT_EQ(router.submit(task).status, RouterStatus::kRouted);
+
+  const std::size_t home = router.home_shard(task);
+  const pid_t killed = router.shard_pid(home);
+  ASSERT_TRUE(router.kill_shard_for_testing(home, SIGKILL));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (std::chrono::steady_clock::now() < deadline &&
+         (router.shard_pid(home) == killed || router.shard_pid(home) <= 0)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_NE(router.shard_pid(home), killed) << "the shard never respawned";
+  ASSERT_TRUE(router.wait_all_serving(std::chrono::seconds(20)));
+
+  ScopedCounters sc;
+  const RouteResult r = router.submit(task);
+  EXPECT_EQ(r.status, RouterStatus::kRouted)
+      << router_status_name(r.status) << " failovers=" << r.failovers;
+  EXPECT_EQ(r.failovers, 0u);
+  EXPECT_EQ(r.shard, home);
+  EXPECT_TRUE(r.response.certified);
+  EXPECT_EQ(r.response.value, task.expected());
+  if (kObsOn) {
+    EXPECT_EQ(sc.delta()[Counter::kClientStaleReconnects], 1u);
+  }
+}
+
 TEST(ShardRouterTest, BrownoutShedsFreshWorkButServesWarmKeys) {
   ShardRouter router(small_router(2));
   ASSERT_TRUE(router.wait_all_serving(std::chrono::seconds(10)));
