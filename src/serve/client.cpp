@@ -153,11 +153,10 @@ int Client::connect_once() {
 }
 
 // Reads and decodes one response frame into `a`; the caller owns fd.
-void Client::read_response(int fd, Attempt& a) {
+void Client::read_response(int fd, Attempt& a,
+                           std::chrono::steady_clock::time_point deadline) {
   FrameType type = FrameType::kRequest;
   std::string payload;
-  const auto deadline =
-      std::chrono::steady_clock::now() + options_.response_deadline;
   a.wire = read_frame(fd, type, payload, deadline);
   if (a.wire != WireStatus::kOk) {
     a.status = status_for_wire(a.wire);
@@ -176,11 +175,13 @@ void Client::read_response(int fd, Attempt& a) {
 // One unsabotaged conversation on fd. A socket left at a frame boundary (a
 // kAccepted response that decoded) goes back to the idle list; any other
 // ending closes it.
-Client::Attempt Client::exchange(int fd, const std::string& frame) {
+Client::Attempt Client::exchange(
+    int fd, const std::string& frame,
+    std::chrono::steady_clock::time_point deadline) {
   Attempt a;
   a.wire = write_all(fd, frame.data(), frame.size());
   if (a.wire == WireStatus::kOk) {
-    read_response(fd, a);
+    read_response(fd, a, deadline);
   } else {
     a.status = FrontendStatus::kConnReset;
   }
@@ -204,14 +205,18 @@ Client::Attempt Client::run_attempt(const robustness::ReductionTask& task,
   const bool sabotage = fault.fault != NetFault::kNone &&
                         fault.on_attempt != 0 &&
                         attempt_no == fault.on_attempt;
+  // One response deadline per attempt, however many sockets it takes.
+  const auto deadline =
+      std::chrono::steady_clock::now() + options_.response_deadline;
   if (!sabotage) {
     // An idle socket first. It is stale (client.h) when the write found the
-    // peer gone or the read ended in EOF or a reset: the frontend answers
-    // only after reading a whole request, and a reset needs request bytes
-    // left unread, so neither carried a response byte.
+    // peer gone or the read ended in EOF or a reset. That covers a peer
+    // that died before reading the request and one that died mid-job after
+    // reading it; resending is sound in both cases only because a
+    // reduction request is idempotent.
     const int idle = take_idle();
     if (idle >= 0) {
-      Attempt a = exchange(idle, frame);
+      Attempt a = exchange(idle, frame, deadline);
       if (a.wire != WireStatus::kEof && a.wire != WireStatus::kConnReset) {
         return a;
       }
@@ -227,7 +232,7 @@ Client::Attempt Client::run_attempt(const robustness::ReductionTask& task,
     a.status = FrontendStatus::kConnReset;
     return a;
   }
-  if (!sabotage) return exchange(fd, frame);
+  if (!sabotage) return exchange(fd, frame, deadline);
   a.fault_injected = true;
   const std::uint64_t r = robustness::mix64(fault.seed, attempt_no);
   bool wrote_ok = true;
@@ -292,7 +297,10 @@ Client::Attempt Client::run_attempt(const robustness::ReductionTask& task,
     a.status = FrontendStatus::kConnReset;
     return a;
   }
-  read_response(fd, a);
+  // A sabotaged write may stall (kStalledReader sleeps fault.stall), so its
+  // read starts a deadline of its own.
+  read_response(fd, a,
+                std::chrono::steady_clock::now() + options_.response_deadline);
   ::close(fd);
   return a;
 }

@@ -19,14 +19,14 @@
 //
 // A reused socket can be stale: its shard died or respawned at the same
 // path, or its frontend drained and closed it. If the write fails with
-// EPIPE/ECONNRESET, or the read ends in EOF or a reset before any response
-// byte, the attempt closes it and sends the same frame once down a fresh
-// connection. That resend is not an attempt — attempts, backoffs and every
-// classification see only the fresh connection's outcome — and it is safe:
-// the frontend never closes a socket that holds request bytes (its drain
-// peeks the kernel buffer and answers kDraining), and a reduction request
-// is idempotent. The outcome is classified from whichever layer refused
-// first:
+// EPIPE/ECONNRESET, or the read ends in EOF or a reset, the attempt closes
+// it and sends the same frame once down a fresh connection, within the
+// same response deadline. That resend is not an attempt — attempts,
+// backoffs and every classification see only the fresh connection's
+// outcome. It also fires when the peer read the request and died mid-job,
+// so it is sound only because a reduction request is idempotent. A torn
+// response (EOF inside a frame) or a deadline is never resent. The outcome
+// is classified from whichever layer refused first:
 //
 //   * transport never answered (connect refused, reset, torn response,
 //     deadline)                    -> Diagnostic::kConnReset / kDeadline...
@@ -127,8 +127,10 @@ class Client {
   int connect_once();
   int take_idle();
   void keep_idle(int fd);
-  Attempt exchange(int fd, const std::string& frame);
-  void read_response(int fd, Attempt& a);
+  Attempt exchange(int fd, const std::string& frame,
+                   std::chrono::steady_clock::time_point deadline);
+  void read_response(int fd, Attempt& a,
+                     std::chrono::steady_clock::time_point deadline);
   Attempt run_attempt(const robustness::ReductionTask& task,
                       std::size_t attempt_no);
 

@@ -297,18 +297,22 @@ void Frontend::event_loop() {
       if (unix_fd_ >= 0) ::shutdown(unix_fd_, SHUT_RDWR);
       if (tcp_fd_ >= 0) ::shutdown(tcp_fd_, SHUT_RDWR);
       listeners_open = false;
+    }
+    if (draining) {
       // Idle connections (no frame started) have nothing in flight: close.
       // "Idle" must consult the kernel buffer, not just inbuf — a client
       // that wrote the start of a frame just before the drain began has a
       // request in flight even though the loop has not read a byte of it
-      // yet, and it is owed a kDraining answer, not a silent close.
+      // yet, and it is owed a kDraining answer, not a silent close. The
+      // sweep runs every round, not once: a connection whose job was in
+      // flight when the drain began is back at a frame boundary once its
+      // answer is written, and a client that keeps its socket for reuse
+      // would otherwise hold the loop open.
       for (auto it = conns_.begin(); it != conns_.end();) {
         Conn& c = **it;
         char probe = 0;
-        const bool pending_bytes =
-            ::recv(c.fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT) > 0;
         if (c.phase == Conn::Phase::kHeader && c.inbuf.empty() &&
-            !pending_bytes) {
+            ::recv(c.fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT) <= 0) {
           drain_and_close(c.fd);
           {
             par::MutexLock lock(mu_);

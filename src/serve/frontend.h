@@ -30,7 +30,8 @@
 //   * graceful drain: begin_drain() (or SIGTERM via install_sigterm_drain)
 //     stops accepting, answers kDraining to new requests on open
 //     connections, lets every in-flight job finish and its verified result
-//     flush into the cache, then exits the loop.
+//     flush into the cache, closes each connection once it is idle at a
+//     frame boundary, then exits the loop.
 //
 // The service boundary is ReductionService::submit + Pending::notify_on_done:
 // a decoded request is admitted through the same bounded queue as in-process

@@ -663,6 +663,36 @@ TEST(FrontendReuse, RefusalClosesTheReusedSocket) {
       << "a refused socket must be closed, not reused";
 }
 
+TEST(FrontendReuse, DrainClosesAKeptSocketWhoseJobWasInFlight) {
+  ::signal(SIGPIPE, SIG_IGN);
+  ServiceOptions so;
+  so.dispatchers = 1;
+  so.pool.workers = 1;
+  ReductionService service(so);
+  FrontendOptions fo;
+  fo.unix_path = unique_socket_path();
+  // Every job's first worker spins until the watchdog kills it and the
+  // supervisor's retry answers, so a submit stays in flight for 300 ms.
+  fo.job = wedge_job(std::chrono::milliseconds(300));
+  Frontend frontend(service, fo);
+  ASSERT_TRUE(frontend.running());
+  ClientOptions co;
+  co.unix_path = fo.unix_path;
+  co.retry.max_attempts = 1;
+  Client client(co);
+
+  ClientResult slow;
+  std::thread submitter([&] { slow = client.submit(unique_chain_task(1)); });
+  EXPECT_TRUE(wait_until([&] { return service.stats().accepted >= 1; }));
+  frontend.begin_drain();
+  submitter.join();
+  ASSERT_TRUE(slow.ok) << frontend_status_name(slow.status);
+  EXPECT_EQ(slow.response.value, unique_chain_task(1).expected());
+  // The client keeps the answered socket for reuse; the drain must still
+  // close it and finish while the client is alive.
+  EXPECT_TRUE(wait_until([&] { return frontend.drained(); }));
+}
+
 TEST(FrontendReuse, ReplacedFrontendCostsOneSilentReconnect) {
   Rig rig;
   Client client(rig.client_options());
