@@ -2,111 +2,113 @@
 
 #include <deque>
 
+#include "obs/taxonomy.h"
 #include "parallel/annotations.h"
 
 namespace pfact::obs {
 
+// The JSON key of every counter, one row per enumerator in enum order.
+constexpr RowTable<NameRow<Counter>> kCounterRows = {{
+    {Counter::kElimSteps, "elim-steps"},
+    {Counter::kPivotScanRows, "pivot-scan-rows"},
+    {Counter::kPivotKeeps, "pivot-keeps"},
+    {Counter::kPivotSwaps, "pivot-swaps"},
+    {Counter::kPivotShifts, "pivot-shifts"},
+    {Counter::kPivotSkips, "pivot-skips"},
+    {Counter::kRowUpdates, "row-updates"},
+    {Counter::kRowUpdateElems, "row-update-elems"},
+    {Counter::kGivensRotations, "givens-rotations"},
+    {Counter::kGivensStages, "givens-stages"},
+    {Counter::kHouseholderReflections, "householder-reflections"},
+    {Counter::kTriangularSolves, "triangular-solves"},
+    {Counter::kGuardTicks, "guard-ticks"},
+    {Counter::kSoftFloatAdds, "softfloat-adds"},
+    {Counter::kSoftFloatMuls, "softfloat-muls"},
+    {Counter::kSoftFloatDivs, "softfloat-divs"},
+    {Counter::kSoftFloatSqrts, "softfloat-sqrts"},
+    {Counter::kSoftFloatRoundNearestEven, "softfloat-round-nearest-even"},
+    {Counter::kSoftFloatRoundTowardZero, "softfloat-round-toward-zero"},
+    {Counter::kSoftFloatRoundAwayFromZero, "softfloat-round-away-from-zero"},
+    {Counter::kBigIntAllocs, "bigint-allocs"},
+    {Counter::kBigIntLimbsAllocated, "bigint-limbs-allocated"},
+    {Counter::kBigIntMuls, "bigint-muls"},
+    {Counter::kBigIntDivs, "bigint-divs"},
+    {Counter::kPoolTasksSubmitted, "pool-tasks-submitted"},
+    {Counter::kPoolChunksRun, "pool-chunks-run"},
+    {Counter::kParallelForCalls, "parallel-for-calls"},
+    {Counter::kRankQueries, "rank-queries"},
+    {Counter::kFaultsInjected, "faults-injected"},
+    {Counter::kFaultsDetected, "faults-detected"},
+    {Counter::kRetryAttempts, "retry-attempts"},
+    {Counter::kEscalations, "escalations"},
+    {Counter::kCheckpointSaves, "checkpoint-saves"},
+    {Counter::kCheckpointBytes, "checkpoint-bytes"},
+    {Counter::kCheckpointResumes, "checkpoint-resumes"},
+    {Counter::kCheckpointRejects, "checkpoint-rejects"},
+    {Counter::kWorkerSpawns, "worker-spawns"},
+    {Counter::kWorkerCrashes, "worker-crashes"},
+    {Counter::kWorkerWatchdogKills, "worker-watchdog-kills"},
+    {Counter::kWorkerResumeHandoffs, "worker-resume-handoffs"},
+    {Counter::kServeForkFailures, "serve-fork-failures"},
+    {Counter::kServeWarmJobs, "serve-warm-jobs"},
+    {Counter::kServeWorkerRecycles, "serve-worker-recycles"},
+    {Counter::kServeJobsSubmitted, "serve-jobs-submitted"},
+    {Counter::kServeJobsShed, "serve-jobs-shed"},
+    {Counter::kServeCacheHits, "serve-cache-hits"},
+    {Counter::kServeCacheMisses, "serve-cache-misses"},
+    {Counter::kServeCacheFills, "serve-cache-fills"},
+    {Counter::kServeCacheEvictions, "serve-cache-evictions"},
+    {Counter::kServeCacheCorrupt, "serve-cache-corrupt"},
+    {Counter::kSparseBuilds, "sparse-builds"},
+    {Counter::kSparseTripletsCoalesced, "sparse-triplets-coalesced"},
+    {Counter::kSparseFillIns, "sparse-fill-ins"},
+    {Counter::kSparseZeroDrops, "sparse-zero-drops"},
+    {Counter::kDenseStorageBytes, "dense-storage-bytes"},
+    {Counter::kSparseStorageBytes, "sparse-storage-bytes"},
+    {Counter::kFrontendConnsAccepted, "frontend-conns-accepted"},
+    {Counter::kFrontendAccepted, "frontend-accepted"},
+    {Counter::kFrontendMalformed, "frontend-malformed"},
+    {Counter::kFrontendDeadlineEvictions, "frontend-deadline-evictions"},
+    {Counter::kFrontendConnResets, "frontend-conn-resets"},
+    {Counter::kFrontendOverloadSheds, "frontend-overload-sheds"},
+    {Counter::kFrontendDrainRefusals, "frontend-drain-refusals"},
+    {Counter::kFrontendBytesRead, "frontend-bytes-read"},
+    {Counter::kFrontendBytesWritten, "frontend-bytes-written"},
+    {Counter::kClientRetries, "client-retries"},
+    {Counter::kClientStaleReconnects, "client-stale-reconnects"},
+    {Counter::kFrontendProbes, "frontend-probes"},
+    {Counter::kRouterRoutes, "router-routes"},
+    {Counter::kRouterFailovers, "router-failovers"},
+    {Counter::kRouterBrownoutSheds, "router-brownout-sheds"},
+    {Counter::kRouterAllShardsDown, "router-all-shards-down"},
+    {Counter::kRouterRestarts, "router-restarts"},
+    {Counter::kRouterProbes, "router-probes"},
+    {Counter::kShardServing, "shard-serving"},
+    {Counter::kShardStarting, "shard-starting"},
+    {Counter::kShardUnresponsive, "shard-unresponsive"},
+    {Counter::kShardDead, "shard-dead"},
+    {Counter::kShardRestarting, "shard-restarting"},
+}};
+
+constexpr RowTable<NameRow<Histogram>> kHistogramRows = {{
+    {Histogram::kPivotMoveDistance, "pivot-move-distance"},
+    {Histogram::kBigIntLimbs, "bigint-limbs"},
+    {Histogram::kSpanDurationUs, "span-duration-us"},
+    {Histogram::kQueueDepth, "queue-depth"},
+    {Histogram::kSparseRowNnz, "sparse-row-nnz"},
+}};
+
+static_assert(is_row_table(kCounterRows));
+static_assert(is_row_table(kHistogramRows));
+// One JSON namespace: a histogram may not reuse a counter's key.
+static_assert(names_disjoint(kCounterRows, kHistogramRows));
+
 const char* counter_name(Counter c) {
-  switch (c) {
-    case Counter::kElimSteps: return "elim-steps";
-    case Counter::kPivotScanRows: return "pivot-scan-rows";
-    case Counter::kPivotKeeps: return "pivot-keeps";
-    case Counter::kPivotSwaps: return "pivot-swaps";
-    case Counter::kPivotShifts: return "pivot-shifts";
-    case Counter::kPivotSkips: return "pivot-skips";
-    case Counter::kRowUpdates: return "row-updates";
-    case Counter::kRowUpdateElems: return "row-update-elems";
-    case Counter::kGivensRotations: return "givens-rotations";
-    case Counter::kGivensStages: return "givens-stages";
-    case Counter::kHouseholderReflections: return "householder-reflections";
-    case Counter::kTriangularSolves: return "triangular-solves";
-    case Counter::kGuardTicks: return "guard-ticks";
-    case Counter::kSoftFloatAdds: return "softfloat-adds";
-    case Counter::kSoftFloatMuls: return "softfloat-muls";
-    case Counter::kSoftFloatDivs: return "softfloat-divs";
-    case Counter::kSoftFloatSqrts: return "softfloat-sqrts";
-    case Counter::kSoftFloatRoundNearestEven:
-      return "softfloat-round-nearest-even";
-    case Counter::kSoftFloatRoundTowardZero:
-      return "softfloat-round-toward-zero";
-    case Counter::kSoftFloatRoundAwayFromZero:
-      return "softfloat-round-away-from-zero";
-    case Counter::kBigIntAllocs: return "bigint-allocs";
-    case Counter::kBigIntLimbsAllocated: return "bigint-limbs-allocated";
-    case Counter::kBigIntMuls: return "bigint-muls";
-    case Counter::kBigIntDivs: return "bigint-divs";
-    case Counter::kPoolTasksSubmitted: return "pool-tasks-submitted";
-    case Counter::kPoolChunksRun: return "pool-chunks-run";
-    case Counter::kParallelForCalls: return "parallel-for-calls";
-    case Counter::kRankQueries: return "rank-queries";
-    case Counter::kFaultsInjected: return "faults-injected";
-    case Counter::kFaultsDetected: return "faults-detected";
-    case Counter::kRetryAttempts: return "retry-attempts";
-    case Counter::kEscalations: return "escalations";
-    case Counter::kCheckpointSaves: return "checkpoint-saves";
-    case Counter::kCheckpointBytes: return "checkpoint-bytes";
-    case Counter::kCheckpointResumes: return "checkpoint-resumes";
-    case Counter::kCheckpointRejects: return "checkpoint-rejects";
-    case Counter::kWorkerSpawns: return "worker-spawns";
-    case Counter::kWorkerCrashes: return "worker-crashes";
-    case Counter::kWorkerWatchdogKills: return "worker-watchdog-kills";
-    case Counter::kWorkerResumeHandoffs: return "worker-resume-handoffs";
-    case Counter::kServeForkFailures: return "serve-fork-failures";
-    case Counter::kServeWarmJobs: return "serve-warm-jobs";
-    case Counter::kServeWorkerRecycles: return "serve-worker-recycles";
-    case Counter::kServeJobsSubmitted: return "serve-jobs-submitted";
-    case Counter::kServeJobsShed: return "serve-jobs-shed";
-    case Counter::kServeCacheHits: return "serve-cache-hits";
-    case Counter::kServeCacheMisses: return "serve-cache-misses";
-    case Counter::kServeCacheFills: return "serve-cache-fills";
-    case Counter::kServeCacheEvictions: return "serve-cache-evictions";
-    case Counter::kServeCacheCorrupt: return "serve-cache-corrupt";
-    case Counter::kSparseBuilds: return "sparse-builds";
-    case Counter::kSparseTripletsCoalesced:
-      return "sparse-triplets-coalesced";
-    case Counter::kSparseFillIns: return "sparse-fill-ins";
-    case Counter::kSparseZeroDrops: return "sparse-zero-drops";
-    case Counter::kDenseStorageBytes: return "dense-storage-bytes";
-    case Counter::kSparseStorageBytes: return "sparse-storage-bytes";
-    case Counter::kFrontendConnsAccepted: return "frontend-conns-accepted";
-    case Counter::kFrontendAccepted: return "frontend-accepted";
-    case Counter::kFrontendMalformed: return "frontend-malformed";
-    case Counter::kFrontendDeadlineEvictions:
-      return "frontend-deadline-evictions";
-    case Counter::kFrontendConnResets: return "frontend-conn-resets";
-    case Counter::kFrontendOverloadSheds: return "frontend-overload-sheds";
-    case Counter::kFrontendDrainRefusals: return "frontend-drain-refusals";
-    case Counter::kFrontendBytesRead: return "frontend-bytes-read";
-    case Counter::kFrontendBytesWritten: return "frontend-bytes-written";
-    case Counter::kClientRetries: return "client-retries";
-    case Counter::kClientStaleReconnects: return "client-stale-reconnects";
-    case Counter::kFrontendProbes: return "frontend-probes";
-    case Counter::kRouterRoutes: return "router-routes";
-    case Counter::kRouterFailovers: return "router-failovers";
-    case Counter::kRouterBrownoutSheds: return "router-brownout-sheds";
-    case Counter::kRouterAllShardsDown: return "router-all-shards-down";
-    case Counter::kRouterRestarts: return "router-restarts";
-    case Counter::kRouterProbes: return "router-probes";
-    case Counter::kShardServing: return "shard-serving";
-    case Counter::kShardStarting: return "shard-starting";
-    case Counter::kShardUnresponsive: return "shard-unresponsive";
-    case Counter::kShardDead: return "shard-dead";
-    case Counter::kShardRestarting: return "shard-restarting";
-    case Counter::kCount_: break;
-  }
-  return "?";
+  return name_of(kCounterRows, c);
 }
 
 const char* histogram_name(Histogram h) {
-  switch (h) {
-    case Histogram::kPivotMoveDistance: return "pivot-move-distance";
-    case Histogram::kBigIntLimbs: return "bigint-limbs";
-    case Histogram::kSpanDurationUs: return "span-duration-us";
-    case Histogram::kQueueDepth: return "queue-depth";
-    case Histogram::kSparseRowNnz: return "sparse-row-nnz";
-    case Histogram::kCount_: break;
-  }
-  return "?";
+  return name_of(kHistogramRows, h);
 }
 
 std::uint64_t CounterSnapshot::histogram_total(Histogram h) const {

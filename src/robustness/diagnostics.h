@@ -13,11 +13,13 @@
 // returns kOk with a value certified against the direct circuit evaluation,
 // or a non-kOk diagnostic. It never returns a plausible-but-wrong value.
 
+#include <array>
 #include <cstddef>
 #include <string>
 
 #include "factor/pivot_trace.h"
 #include "obs/counters.h"
+#include "obs/taxonomy.h"
 
 namespace pfact::robustness {
 
@@ -42,32 +44,94 @@ enum class Diagnostic {
   kInternalError,         // anything else — a bug in this library
   kOverloaded,            // admission control shed the job (queue saturated)
   kConnReset,             // a network peer vanished mid-conversation
+  kCount_,  // sentinel: number of diagnostics (never on the wire)
 };
 
+// What the retry loop (resilient_run.h) does about a diagnostic.
+enum class FailureKind {
+  kSuccess,        // diagnostic == kOk: nothing to handle
+  kTransient,      // the MOMENT's: retry on the same substrate, with backoff
+  kDeterministic,  // the COMPUTATION's: same precision, same bits; escalate
+  kFatal,          // the INPUT's (or a library bug): fail immediately
+};
+
+struct DiagnosticRow {
+  Diagnostic id;
+  const char* name;
+  FailureKind kind;
+};
+
+// The retry loop's decision table: each Diagnostic's name and the one
+// FailureKind it classifies to.
+inline constexpr auto kDiagnosticRows = [] {
+  using enum Diagnostic;
+  using enum FailureKind;
+  return obs::RowTable<DiagnosticRow>{{
+      {kOk, "ok", kSuccess},
+      {kBadInput, "bad-input", kFatal},
+      {kDecodeNotBoolean, "decode-not-boolean", kDeterministic},
+      {kDecodeAmbiguous, "decode-ambiguous", kDeterministic},
+      {kDecodeOutOfTolerance, "decode-out-of-tolerance", kDeterministic},
+      {kCrossCheckMismatch, "cross-check-mismatch", kDeterministic},
+      {kPivotAnomaly, "pivot-anomaly", kDeterministic},
+      // The environment, not the computation: the FPU state flipped.
+      {kRoundingAnomaly, "rounding-anomaly", kTransient},
+      {kNumericOverflow, "numeric-overflow", kDeterministic},
+      {kNumericNonFinite, "numeric-non-finite", kDeterministic},
+      {kInvariantViolation, "invariant-violation", kDeterministic},
+      // Preempted (by its own budget, the clock, cancellation), not refuted.
+      {kStepBudgetExceeded, "step-budget-exceeded", kTransient},
+      {kDeadlineExceeded, "deadline-exceeded", kTransient},
+      {kCancelled, "cancelled", kTransient},
+      {kResourceExhausted, "resource-exhausted", kTransient},  // bad_alloc
+      // A torn write: the retry resumes from an intact checkpoint.
+      {kCheckpointCorrupt, "checkpoint-corrupt", kTransient},
+      {kWorkerFailure, "worker-failure", kTransient},  // a worker died
+      {kInternalError, "internal-error", kFatal},
+      {kOverloaded, "overloaded", kTransient},  // shed, never refuted
+      // The peer vanished, maybe before it saw the request: resubmit.
+      {kConnReset, "connection-reset", kTransient},
+  }};
+}();
+static_assert(obs::is_row_table(kDiagnosticRows));
+
 inline const char* diagnostic_name(Diagnostic d) {
-  switch (d) {
-    case Diagnostic::kOk: return "ok";
-    case Diagnostic::kBadInput: return "bad-input";
-    case Diagnostic::kDecodeNotBoolean: return "decode-not-boolean";
-    case Diagnostic::kDecodeAmbiguous: return "decode-ambiguous";
-    case Diagnostic::kDecodeOutOfTolerance: return "decode-out-of-tolerance";
-    case Diagnostic::kCrossCheckMismatch: return "cross-check-mismatch";
-    case Diagnostic::kPivotAnomaly: return "pivot-anomaly";
-    case Diagnostic::kRoundingAnomaly: return "rounding-anomaly";
-    case Diagnostic::kNumericOverflow: return "numeric-overflow";
-    case Diagnostic::kNumericNonFinite: return "numeric-non-finite";
-    case Diagnostic::kInvariantViolation: return "invariant-violation";
-    case Diagnostic::kStepBudgetExceeded: return "step-budget-exceeded";
-    case Diagnostic::kDeadlineExceeded: return "deadline-exceeded";
-    case Diagnostic::kCancelled: return "cancelled";
-    case Diagnostic::kResourceExhausted: return "resource-exhausted";
-    case Diagnostic::kCheckpointCorrupt: return "checkpoint-corrupt";
-    case Diagnostic::kWorkerFailure: return "worker-failure";
-    case Diagnostic::kInternalError: return "internal-error";
-    case Diagnostic::kOverloaded: return "overloaded";
-    case Diagnostic::kConnReset: return "connection-reset";
-  }
-  return "?";
+  return obs::name_of(kDiagnosticRows, d);
+}
+// An out-of-range ordinal classifies as fatal.
+inline FailureKind classify_diagnostic(Diagnostic d) {
+  return obs::lookup(kDiagnosticRows, d, &DiagnosticRow::kind,
+                     FailureKind::kFatal);
+}
+
+// The rows of the serve-side taxonomies: each member's name and the
+// Diagnostic a caller sees, plus in CountedRow the obs counter it bumps.
+template <class Enum>
+struct DiagnosedRow {
+  Enum id;
+  const char* name;
+  Diagnostic diagnostic;
+};
+
+template <class Enum>
+struct CountedRow {
+  Enum id;
+  const char* name;
+  Diagnostic diagnostic;
+  obs::Counter counter;
+};
+
+// An out-of-range ordinal diagnoses as kInternalError.
+template <class Row, std::size_t N>
+constexpr Diagnostic diagnosis_of(const std::array<Row, N>& rows,
+                                  decltype(Row::id) id) {
+  return obs::lookup(rows, id, &Row::diagnostic, Diagnostic::kInternalError);
+}
+
+template <class Row, std::size_t N>
+constexpr obs::Counter counter_of(const std::array<Row, N>& rows,
+                                  decltype(Row::id) id, obs::Counter fallback) {
+  return obs::lookup(rows, id, &Row::counter, fallback);
 }
 
 inline constexpr std::size_t kNoPosition = static_cast<std::size_t>(-1);

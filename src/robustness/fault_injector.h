@@ -38,6 +38,7 @@
 #include "numeric/field.h"
 #include "numeric/softfloat.h"
 #include "obs/counters.h"
+#include "obs/taxonomy.h"
 
 namespace pfact::robustness {
 
@@ -49,19 +50,22 @@ enum class FaultClass {
   kRoundingFlip,
   kTruncatedInput,
   kTornWrite,
+  kCount_,  // sentinel: number of fault classes (never on the wire)
 };
 
+inline constexpr obs::RowTable<obs::NameRow<FaultClass>> kFaultClassRows = {{
+    {FaultClass::kNone, "none"},
+    {FaultClass::kBitFlip, "bit-flip"},
+    {FaultClass::kEpsilonNudge, "epsilon-nudge"},
+    {FaultClass::kPivotTie, "pivot-tie"},
+    {FaultClass::kRoundingFlip, "rounding-flip"},
+    {FaultClass::kTruncatedInput, "truncated-input"},
+    {FaultClass::kTornWrite, "torn-write"},
+}};
+static_assert(obs::is_row_table(kFaultClassRows));
+
 inline const char* fault_class_name(FaultClass f) {
-  switch (f) {
-    case FaultClass::kNone: return "none";
-    case FaultClass::kBitFlip: return "bit-flip";
-    case FaultClass::kEpsilonNudge: return "epsilon-nudge";
-    case FaultClass::kPivotTie: return "pivot-tie";
-    case FaultClass::kRoundingFlip: return "rounding-flip";
-    case FaultClass::kTruncatedInput: return "truncated-input";
-    case FaultClass::kTornWrite: return "torn-write";
-  }
-  return "?";
+  return obs::name_of(kFaultClassRows, f);
 }
 
 struct FaultPlan {
@@ -157,11 +161,13 @@ class FaultInjector {
       }
       // Not matrix-level faults: injected by corrupt_instance /
       // corrupt_encoded_input / corrupt_blob instead. Enumerated so that
-      // -Wswitch-enum forces a new FaultClass to choose its site here.
+      // -Wswitch-enum forces a new FaultClass to choose its site here
+      // (kCount_ is the sentinel, not a fault).
       case FaultClass::kNone:
       case FaultClass::kRoundingFlip:
       case FaultClass::kTruncatedInput:
       case FaultClass::kTornWrite:
+      case FaultClass::kCount_:
         return false;
     }
     return false;
@@ -240,15 +246,11 @@ class FaultInjector {
   bool torn_done_ = false;
 };
 
-// The full sweepable taxonomy (kNone excluded). kTornWrite is only
-// observable on runs that actually save checkpoints; on an uncheckpointed
-// run it is a no-op (harmless by construction).
+// The full sweepable taxonomy: every row but kNone (row 0). kTornWrite is
+// only observable on runs that actually save checkpoints; on an
+// uncheckpointed run it is a no-op (harmless by construction).
 inline const std::vector<FaultClass>& all_fault_classes() {
-  static const std::vector<FaultClass> classes = {
-      FaultClass::kBitFlip,       FaultClass::kEpsilonNudge,
-      FaultClass::kPivotTie,      FaultClass::kRoundingFlip,
-      FaultClass::kTruncatedInput, FaultClass::kTornWrite};
-  return classes;
+  return obs::sweep_of<kFaultClassRows, 1>();
 }
 
 }  // namespace pfact::robustness

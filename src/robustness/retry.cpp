@@ -12,47 +12,6 @@ const char* failure_kind_name(FailureKind k) {
   return "?";
 }
 
-FailureKind classify_diagnostic(Diagnostic d) {
-  switch (d) {
-    case Diagnostic::kOk:
-      return FailureKind::kSuccess;
-
-    // Environment / preemption / storage: the computation itself was never
-    // refuted, only interrupted or run in a poisoned moment.
-    case Diagnostic::kRoundingAnomaly:     // FPU state flipped under us
-    case Diagnostic::kStepBudgetExceeded:  // preempted by its own budget
-    case Diagnostic::kDeadlineExceeded:    // overran the wall clock
-    case Diagnostic::kCancelled:           // cooperative cancellation
-    case Diagnostic::kResourceExhausted:   // bad_alloc under memory pressure
-    case Diagnostic::kCheckpointCorrupt:   // torn write; retry re-resumes
-    case Diagnostic::kWorkerFailure:       // a pool worker died
-    case Diagnostic::kOverloaded:          // shed by admission control; the
-                                           // work was refused, never refuted
-    case Diagnostic::kConnReset:           // the peer (or the wire) vanished;
-                                           // the request may never have been
-                                           // seen — reconnect and resubmit
-      return FailureKind::kTransient;
-
-    // The arithmetic on this substrate produced these bits and will again:
-    // only more precision can change the outcome.
-    case Diagnostic::kDecodeNotBoolean:
-    case Diagnostic::kDecodeAmbiguous:
-    case Diagnostic::kDecodeOutOfTolerance:
-    case Diagnostic::kCrossCheckMismatch:
-    case Diagnostic::kPivotAnomaly:
-    case Diagnostic::kNumericOverflow:
-    case Diagnostic::kNumericNonFinite:
-    case Diagnostic::kInvariantViolation:
-      return FailureKind::kDeterministic;
-
-    // Malformed input or a library bug: unrecoverable by construction.
-    case Diagnostic::kBadInput:
-    case Diagnostic::kInternalError:
-      return FailureKind::kFatal;
-  }
-  return FailureKind::kFatal;
-}
-
 std::uint64_t mix64(std::uint64_t seed, std::uint64_t attempt) {
   std::uint64_t z = seed + attempt * 0x9E3779B97F4A7C15ull;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;

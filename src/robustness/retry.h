@@ -1,25 +1,24 @@
 #pragma once
 // Failure classification and retry policy for the resilient engine.
 //
-// The classifier maps every RunReport diagnostic into one of three failure
-// kinds, which is the whole decision table of resilient_run.h:
+// The classifier, classify_diagnostic (diagnostics.h), maps every RunReport
+// diagnostic into one of three failure kinds, which is the whole decision
+// table of resilient_run.h:
 //
-//   kTransient     — a property of the MOMENT, not of the computation:
-//                    environment glitches (rounding mode flipped under us),
-//                    budget/deadline preemption, allocation pressure,
-//                    cancellation, a worker dying, a torn checkpoint. The
-//                    same substrate may well succeed on a clean re-run, so
-//                    retry with backoff (resuming from the last good
-//                    checkpoint where one exists).
+//   kTransient     — a property of the MOMENT, not of the computation
+//                    (a flipped rounding mode, preemption, allocation
+//                    pressure, a dying worker, a torn checkpoint). The same
+//                    substrate may well succeed on a clean re-run, so retry
+//                    with backoff, resuming from the last good checkpoint.
 //   kDeterministic — a property of the COMPUTATION on this substrate: the
-//                    arithmetic itself produced a non-finite value, broke an
-//                    engine invariant, or decoded to garbage. Re-running in
-//                    the same precision replays the same bits, so retrying
-//                    is waste — escalate one rung up the substrate ladder
-//                    (escalation.h) instead.
+//                    arithmetic decoded to garbage, broke an invariant or
+//                    went non-finite. Re-running in the same precision
+//                    replays the same bits, so escalate one rung up the
+//                    substrate ladder (escalation.h) instead.
 //   kFatal         — a property of the INPUT (or a library bug): no amount
-//                    of retrying or precision will fix a malformed instance.
-//                    Fail immediately.
+//                    of retrying or precision will fix it. Fail immediately.
+//
+// Each diagnostic's kind, with its reason, is a row of kDiagnosticRows.
 //
 // Backoff is exponential with deterministic jitter: the delay for attempt k
 // is base * 2^k, scaled by a jitter factor in [1/2, 1] drawn from
@@ -34,18 +33,7 @@
 
 namespace pfact::robustness {
 
-enum class FailureKind {
-  kSuccess,        // diagnostic == kOk: nothing to handle
-  kTransient,      // retry on the same substrate
-  kDeterministic,  // escalate to a higher-precision substrate
-  kFatal,          // fail immediately, no retry, no escalation
-};
-
 const char* failure_kind_name(FailureKind k);
-
-// The decision table. Total over Diagnostic: every enumerator maps to
-// exactly one kind (enforced by a switch with no default in retry.cpp).
-FailureKind classify_diagnostic(Diagnostic d);
 
 // splitmix64 of (seed ^ mixed attempt) — the standard 64-bit finalizer, used
 // here as a tiny deterministic PRNG for jitter. Exposed for tests.

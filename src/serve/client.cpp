@@ -237,7 +237,9 @@ Client::Attempt Client::run_attempt(const robustness::ReductionTask& task,
   const std::uint64_t r = robustness::mix64(fault.seed, attempt_no);
   bool wrote_ok = true;
   switch (fault.fault) {
-    case NetFault::kNone: break;  // unreachable: sabotage implies a shape
+    case NetFault::kNone:  // unreachable: sabotage implies a shape
+    case NetFault::kCount_:
+      break;
     case NetFault::kTornFrame: {
       // A strict prefix, then vanish — the mid-request client death.
       const std::size_t cut = 1 + static_cast<std::size_t>(

@@ -86,13 +86,11 @@ bool decode_response(std::string_view payload, FrontendResponse& out) {
   ByteReader r(payload);
   FrontendResponse resp;
   const std::uint32_t status = r.get_u32();
-  // Bounds track the LAST enumerator of each taxonomy (append-only).
-  if (status > static_cast<std::uint32_t>(FrontendStatus::kDraining))
-    return false;
+  // Both taxonomies are append-only: every ordinal below kCount_ decodes.
+  if (status >= obs::kCountOf<FrontendStatus>) return false;
   resp.status = static_cast<FrontendStatus>(status);
   const std::uint32_t admission = r.get_u32();
-  if (admission > static_cast<std::uint32_t>(Admission::kShedShutdown))
-    return false;
+  if (admission >= obs::kCountOf<Admission>) return false;
   resp.admission = static_cast<Admission>(admission);
   resp.from_cache = r.get_u8() != 0;
   resp.certified = r.get_u8() != 0;
@@ -596,6 +594,7 @@ void Frontend::harvest_resolved(Conn& c) {
       break;
     case Admission::kShedDeadline: status = FrontendStatus::kDeadline; break;
     case Admission::kShedShutdown: status = FrontendStatus::kDraining; break;
+    case Admission::kCount_: break;  // the sentinel, never a response
   }
   queue_response(c, status, resp, nullptr);
   c.pending.reset();

@@ -13,9 +13,9 @@
 //
 // Robustness is the design center, not a wrapper (DESIGN.md section 14):
 //
-//   * every connection outcome is one FrontendStatus enumerator — named,
-//     counted, diagnosable, sweepable (pfact_lint rule PL012 keeps the four
-//     total). A client is never dropped without a classification; the only
+//   * every connection outcome is one FrontendStatus row — named, counted,
+//     diagnosable, sweepable (a static_assert keeps the table total). A
+//     client is never dropped without a classification; the only
 //     unclassified exit is a clean close at a frame boundary.
 //   * per-connection deadlines: a frame must COMPLETE within read_deadline
 //     of its first byte, and a response must drain within write_deadline —
@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "obs/counters.h"
+#include "obs/taxonomy.h"
 #include "parallel/annotations.h"
 #include "robustness/diagnostics.h"
 #include "serve/queue.h"
@@ -59,8 +60,7 @@ namespace pfact::serve {
 
 // Every way a client conversation can end, from the LISTENER's point of
 // view. Total: each request (or failed attempt at one) lands in exactly one
-// class. PL012 checks each has a printable name, an obs counter, a
-// Diagnostic mapping, and a sweep entry.
+// class.
 enum class FrontendStatus {
   kAccepted,        // decoded, admitted, supervised result frame delivered
   kMalformedFrame,  // bad magic/type/length/CRC or an undecodable payload
@@ -68,74 +68,45 @@ enum class FrontendStatus {
   kConnReset,       // peer vanished mid-frame or mid-response
   kOverloaded,      // connection bound or admission queue shed the load
   kDraining,        // drain in progress: request refused, finish elsewhere
+  kCount_,          // sentinel: number of statuses (never on the wire)
 };
 
+// Each status's name, the diagnostic the client library classifies it with,
+// and the counter bumped when a conversation ends this way. A malformed
+// frame is the one FATAL class (the same bytes get the same refusal);
+// every other refusal is transient.
+inline constexpr auto kFrontendStatusRows = [] {
+  using enum robustness::Diagnostic;
+  return obs::RowTable<robustness::CountedRow<FrontendStatus>>{{
+      {FrontendStatus::kAccepted, "accepted", kOk,
+       obs::Counter::kFrontendAccepted},
+      {FrontendStatus::kMalformedFrame, "malformed-frame", kBadInput,
+       obs::Counter::kFrontendMalformed},
+      {FrontendStatus::kDeadline, "deadline", kDeadlineExceeded,
+       obs::Counter::kFrontendDeadlineEvictions},
+      {FrontendStatus::kConnReset, "conn-reset", kConnReset,
+       obs::Counter::kFrontendConnResets},
+      {FrontendStatus::kOverloaded, "overloaded", kOverloaded,
+       obs::Counter::kFrontendOverloadSheds},
+      {FrontendStatus::kDraining, "draining", kCancelled,
+       obs::Counter::kFrontendDrainRefusals},
+  }};
+}();
+static_assert(obs::is_row_table(kFrontendStatusRows));
+
 inline const char* frontend_status_name(FrontendStatus s) {
-  switch (s) {
-    case FrontendStatus::kAccepted: return "accepted";
-    case FrontendStatus::kMalformedFrame: return "malformed-frame";
-    case FrontendStatus::kDeadline: return "deadline";
-    case FrontendStatus::kConnReset: return "conn-reset";
-    case FrontendStatus::kOverloaded: return "overloaded";
-    case FrontendStatus::kDraining: return "draining";
-  }
-  return "?";
+  return obs::name_of(kFrontendStatusRows, s);
 }
-
-// The sweepable taxonomy, for the rejection-matrix test and the --net soak
-// campaign's full-coverage contract.
-inline const std::vector<FrontendStatus>& all_frontend_statuses() {
-  static const std::vector<FrontendStatus> statuses = {
-      FrontendStatus::kAccepted,   FrontendStatus::kMalformedFrame,
-      FrontendStatus::kDeadline,   FrontendStatus::kConnReset,
-      FrontendStatus::kOverloaded, FrontendStatus::kDraining};
-  return statuses;
-}
-
-// Maps listener outcomes into the retry taxonomy the client library (and
-// any caller's own backoff loop) classifies with. Malformed frames are the
-// one DETERMINISTIC class — resending the same bytes reproduces the same
-// refusal; every other refusal is transient.
-//   kAccepted       -> kOk
-//   kMalformedFrame -> kBadInput          (fatal: fix the frame, not retry)
-//   kDeadline       -> kDeadlineExceeded  (transient)
-//   kConnReset      -> kConnReset         (transient)
-//   kOverloaded     -> kOverloaded        (transient: back off, resubmit)
-//   kDraining       -> kCancelled         (transient)
 inline robustness::Diagnostic diagnose_frontend_status(FrontendStatus s) {
-  switch (s) {
-    case FrontendStatus::kAccepted: return robustness::Diagnostic::kOk;
-    case FrontendStatus::kMalformedFrame:
-      return robustness::Diagnostic::kBadInput;
-    case FrontendStatus::kDeadline:
-      return robustness::Diagnostic::kDeadlineExceeded;
-    case FrontendStatus::kConnReset:
-      return robustness::Diagnostic::kConnReset;
-    case FrontendStatus::kOverloaded:
-      return robustness::Diagnostic::kOverloaded;
-    case FrontendStatus::kDraining:
-      return robustness::Diagnostic::kCancelled;
-  }
-  return robustness::Diagnostic::kInternalError;
+  return robustness::diagnosis_of(kFrontendStatusRows, s);
 }
-
-// The obs counter bumped when a conversation ends in each class — the
-// "counted" leg of the taxonomy (PL012).
 inline obs::Counter frontend_status_counter(FrontendStatus s) {
-  switch (s) {
-    case FrontendStatus::kAccepted: return obs::Counter::kFrontendAccepted;
-    case FrontendStatus::kMalformedFrame:
-      return obs::Counter::kFrontendMalformed;
-    case FrontendStatus::kDeadline:
-      return obs::Counter::kFrontendDeadlineEvictions;
-    case FrontendStatus::kConnReset:
-      return obs::Counter::kFrontendConnResets;
-    case FrontendStatus::kOverloaded:
-      return obs::Counter::kFrontendOverloadSheds;
-    case FrontendStatus::kDraining:
-      return obs::Counter::kFrontendDrainRefusals;
-  }
-  return obs::Counter::kFrontendMalformed;
+  return robustness::counter_of(kFrontendStatusRows, s,
+                                obs::Counter::kFrontendMalformed);
+}
+// The sweep the rejection-matrix test and the --net soak iterate.
+inline const std::vector<FrontendStatus>& all_frontend_statuses() {
+  return obs::sweep_of<kFrontendStatusRows>();
 }
 
 // --- network fault injection ------------------------------------------------
@@ -152,26 +123,24 @@ enum class NetFault : std::uint8_t {
   kStalledReader = 4,   // send a partial frame then go silent, holding the
                         // connection open (slowloris; expects kDeadline)
   kGarbagePreamble = 5, // send random junk where a frame should start
+  kCount_ = 6,          // sentinel: number of shapes
 };
 
-inline const char* net_fault_name(NetFault f) {
-  switch (f) {
-    case NetFault::kNone: return "none";
-    case NetFault::kTornFrame: return "torn-frame";
-    case NetFault::kMidFrameClose: return "mid-frame-close";
-    case NetFault::kDribble: return "dribble";
-    case NetFault::kStalledReader: return "stalled-reader";
-    case NetFault::kGarbagePreamble: return "garbage-preamble";
-  }
-  return "?";
-}
+inline constexpr obs::RowTable<obs::NameRow<NetFault>> kNetFaultRows = {{
+    {NetFault::kNone, "none"},
+    {NetFault::kTornFrame, "torn-frame"},
+    {NetFault::kMidFrameClose, "mid-frame-close"},
+    {NetFault::kDribble, "dribble"},
+    {NetFault::kStalledReader, "stalled-reader"},
+    {NetFault::kGarbagePreamble, "garbage-preamble"},
+}};
+static_assert(obs::is_row_table(kNetFaultRows));
 
+inline const char* net_fault_name(NetFault f) {
+  return obs::name_of(kNetFaultRows, f);
+}
 inline const std::vector<NetFault>& all_net_faults() {
-  static const std::vector<NetFault> faults = {
-      NetFault::kNone,          NetFault::kTornFrame,
-      NetFault::kMidFrameClose, NetFault::kDribble,
-      NetFault::kStalledReader, NetFault::kGarbagePreamble};
-  return faults;
+  return obs::sweep_of<kNetFaultRows>();
 }
 
 struct NetFaultPlan {
@@ -254,7 +223,7 @@ class Frontend {
   struct Stats {
     std::uint64_t conns_accepted = 0;
     // Conversations ended in each FrontendStatus, indexable by enumerator.
-    std::array<std::uint64_t, 6> by_status{};
+    std::array<std::uint64_t, obs::kCountOf<FrontendStatus>> by_status{};
     std::uint64_t clean_closes = 0;  // EOF at a frame boundary (no status)
 
     std::uint64_t status(FrontendStatus s) const {

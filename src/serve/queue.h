@@ -20,8 +20,8 @@
 //     finish, and joins the dispatchers — every waiter always gets a
 //     classified response.
 //
-// Every admission outcome is an enumerator below, named and mapped into the
-// robustness taxonomy (pfact_lint rule PL010 keeps the three total), and
+// Every admission outcome is a row below, named and mapped into the
+// robustness taxonomy (a static_assert keeps the table total), and
 // backpressure is observable: serve-jobs-submitted / serve-jobs-shed
 // counters plus the queue-depth histogram recorded at every admission.
 
@@ -35,7 +35,9 @@
 #include <thread>
 #include <vector>
 
+#include "obs/taxonomy.h"
 #include "parallel/annotations.h"
+#include "robustness/diagnostics.h"
 #include "robustness/escalation.h"
 #include "serve/result_cache.h"
 #include "serve/supervisor.h"
@@ -44,52 +46,38 @@
 namespace pfact::serve {
 
 // Every way an offered job can be admitted or refused. Total: a submission
-// lands in exactly one class (PL010 checks each has a printable name, a
-// Diagnostic mapping, and a sweep entry).
+// lands in exactly one class.
 enum class Admission {
   kAccepted,       // queued within bounds; a report will follow
   kShedQueueFull,  // bounded depth reached: load shed at the front door
   kShedDeadline,   // the job's deadline expired before dispatch
   kShedShutdown,   // the service is draining or stopped
+  kCount_,         // sentinel: number of admission outcomes
 };
 
+// Each outcome's name and diagnostic. Every shed class is TRANSIENT under
+// classify_diagnostic — the work was refused, never refuted, so
+// resubmitting later is always sound.
+inline constexpr auto kAdmissionRows = [] {
+  using enum robustness::Diagnostic;
+  return obs::RowTable<robustness::DiagnosedRow<Admission>>{{
+      {Admission::kAccepted, "accepted", kOk},
+      {Admission::kShedQueueFull, "shed-queue-full", kOverloaded},
+      {Admission::kShedDeadline, "shed-deadline", kDeadlineExceeded},
+      {Admission::kShedShutdown, "shed-shutdown", kCancelled},
+  }};
+}();
+static_assert(obs::is_row_table(kAdmissionRows));
+
 inline const char* admission_name(Admission a) {
-  switch (a) {
-    case Admission::kAccepted: return "accepted";
-    case Admission::kShedQueueFull: return "shed-queue-full";
-    case Admission::kShedDeadline: return "shed-deadline";
-    case Admission::kShedShutdown: return "shed-shutdown";
-  }
-  return "?";
+  return obs::name_of(kAdmissionRows, a);
 }
-
-// The sweepable taxonomy, for the service test suite and the --serve soak
-// campaign's shed-classification assertions.
-inline const std::vector<Admission>& all_admissions() {
-  static const std::vector<Admission> admissions = {
-      Admission::kAccepted, Admission::kShedQueueFull,
-      Admission::kShedDeadline, Admission::kShedShutdown};
-  return admissions;
-}
-
-// Maps admission outcomes into the retry taxonomy: every shed class is
-// TRANSIENT under classify_diagnostic — the work was refused, never
-// refuted, so resubmitting later is always sound.
-//   kAccepted      -> kOk
-//   kShedQueueFull -> kOverloaded        (back off and resubmit)
-//   kShedDeadline  -> kDeadlineExceeded
-//   kShedShutdown  -> kCancelled
 inline robustness::Diagnostic diagnose_admission(Admission a) {
-  switch (a) {
-    case Admission::kAccepted: return robustness::Diagnostic::kOk;
-    case Admission::kShedQueueFull:
-      return robustness::Diagnostic::kOverloaded;
-    case Admission::kShedDeadline:
-      return robustness::Diagnostic::kDeadlineExceeded;
-    case Admission::kShedShutdown:
-      return robustness::Diagnostic::kCancelled;
-  }
-  return robustness::Diagnostic::kInternalError;
+  return robustness::diagnosis_of(kAdmissionRows, a);
+}
+// The sweep the service tests and the --serve soak assert over.
+inline const std::vector<Admission>& all_admissions() {
+  return obs::sweep_of<kAdmissionRows>();
 }
 
 // Per-job knobs riding on top of the service-wide SupervisorOptions. The

@@ -22,9 +22,9 @@
 //   * bounded: capacity-limited with least-recently-used eviction, so the
 //     cache degrades to recomputation, not to unbounded memory.
 //
-// Every probe outcome is an enumerator of CacheProbe, named and mapped into
-// the robustness Diagnostic taxonomy below (pfact_lint rule PL010 keeps the
-// three total).
+// Every probe outcome is a row of kCacheProbeRows, named and mapped into
+// the robustness Diagnostic taxonomy below (a static_assert keeps the table
+// total).
 
 #include <cstddef>
 #include <cstdint>
@@ -33,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/taxonomy.h"
 #include "parallel/annotations.h"
 #include "robustness/diagnostics.h"
 #include "robustness/escalation.h"
@@ -40,47 +41,39 @@
 namespace pfact::serve {
 
 // Every way a cache read can end. Total: a lookup lands in exactly one
-// class (PL010 checks each has a printable name, a Diagnostic mapping, and
-// a sweep entry).
+// class.
 enum class CacheProbe {
   kHit,               // entry present, CRC and envelope verified
   kMiss,              // no entry under this key
   kCorruptEntry,      // stored bytes no longer hash to the entry CRC
   kEnvelopeRejected,  // entry CRC fine but its PFCK blob fails the envelope
+  kCount_,            // sentinel: number of probe outcomes
 };
 
+// Each outcome's name and diagnostic. Hits and misses are not failures
+// (kOk: the service either serves or recomputes); both corruption classes
+// are kCheckpointCorrupt — transient, because dropping the entry and
+// re-factoring always recovers.
+inline constexpr auto kCacheProbeRows = [] {
+  using enum robustness::Diagnostic;
+  return obs::RowTable<robustness::DiagnosedRow<CacheProbe>>{{
+      {CacheProbe::kHit, "hit", kOk},
+      {CacheProbe::kMiss, "miss", kOk},
+      {CacheProbe::kCorruptEntry, "corrupt-entry", kCheckpointCorrupt},
+      {CacheProbe::kEnvelopeRejected, "envelope-rejected", kCheckpointCorrupt},
+  }};
+}();
+static_assert(obs::is_row_table(kCacheProbeRows));
+
 inline const char* cache_probe_name(CacheProbe p) {
-  switch (p) {
-    case CacheProbe::kHit: return "hit";
-    case CacheProbe::kMiss: return "miss";
-    case CacheProbe::kCorruptEntry: return "corrupt-entry";
-    case CacheProbe::kEnvelopeRejected: return "envelope-rejected";
-  }
-  return "?";
+  return obs::name_of(kCacheProbeRows, p);
 }
-
-// The sweepable taxonomy, for the cache test suite's coverage assertion.
-inline const std::vector<CacheProbe>& all_cache_probes() {
-  static const std::vector<CacheProbe> probes = {
-      CacheProbe::kHit, CacheProbe::kMiss, CacheProbe::kCorruptEntry,
-      CacheProbe::kEnvelopeRejected};
-  return probes;
-}
-
-// Maps probe outcomes into the retry taxonomy. Hits and misses are not
-// failures (kOk: the service either serves or recomputes); both corruption
-// classes are kCheckpointCorrupt — transient, because dropping the entry
-// and re-factoring always recovers.
 inline robustness::Diagnostic diagnose_cache_probe(CacheProbe p) {
-  switch (p) {
-    case CacheProbe::kHit: return robustness::Diagnostic::kOk;
-    case CacheProbe::kMiss: return robustness::Diagnostic::kOk;
-    case CacheProbe::kCorruptEntry:
-      return robustness::Diagnostic::kCheckpointCorrupt;
-    case CacheProbe::kEnvelopeRejected:
-      return robustness::Diagnostic::kCheckpointCorrupt;
-  }
-  return robustness::Diagnostic::kInternalError;
+  return robustness::diagnosis_of(kCacheProbeRows, p);
+}
+// The sweep the cache test suite asserts coverage over.
+inline const std::vector<CacheProbe>& all_cache_probes() {
+  return obs::sweep_of<kCacheProbeRows>();
 }
 
 // What a hit returns: the certified boolean, the substrate that certified

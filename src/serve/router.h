@@ -33,11 +33,12 @@
 //     exactly the ones a surviving shard can answer from cache. Partial
 //     failure degrades capacity, not availability of what is already warm.
 //
-// RouterStatus classifies every submit outcome (PL019 keeps the four legs
-// total, like FrontendStatus under PL012): routed, failed-over, shed, or
+// RouterStatus classifies every submit outcome (a row table under a
+// static_assert, like FrontendStatus): routed, failed-over, shed, or
 // refused with every shard down. Zero unclassified endings is the --shard
 // soak's availability contract.
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -49,6 +50,7 @@
 #include <vector>
 
 #include "obs/counters.h"
+#include "obs/taxonomy.h"
 #include "parallel/annotations.h"
 #include "robustness/diagnostics.h"
 #include "robustness/retry.h"
@@ -67,54 +69,40 @@ enum class RouterStatus {
   kFailedOver,    // answered by a survivor after the home shard failed
   kBrownoutShed,  // fresh work refused while degraded (classified, retryable)
   kAllShardsDown, // no shard could take it: the full-outage refusal
+  kCount_,        // sentinel: number of endings
 };
 
+// Each ending's name, diagnostic and counter (shed and failover rates read
+// straight off the snapshot). Both sheds are transient — a brownout clears
+// when the dead shard restarts, a full outage when any restart lands — so a
+// client retrying with backoff gets through; neither is ever fatal.
+inline constexpr auto kRouterStatusRows = [] {
+  using enum robustness::Diagnostic;
+  return obs::RowTable<robustness::CountedRow<RouterStatus>>{{
+      {RouterStatus::kRouted, "routed", kOk, obs::Counter::kRouterRoutes},
+      {RouterStatus::kFailedOver, "failed-over", kOk,
+       obs::Counter::kRouterFailovers},
+      {RouterStatus::kBrownoutShed, "brownout-shed", kOverloaded,
+       obs::Counter::kRouterBrownoutSheds},
+      {RouterStatus::kAllShardsDown, "all-shards-down", kConnReset,
+       obs::Counter::kRouterAllShardsDown},
+  }};
+}();
+static_assert(obs::is_row_table(kRouterStatusRows));
+
 inline const char* router_status_name(RouterStatus s) {
-  switch (s) {
-    case RouterStatus::kRouted: return "routed";
-    case RouterStatus::kFailedOver: return "failed-over";
-    case RouterStatus::kBrownoutShed: return "brownout-shed";
-    case RouterStatus::kAllShardsDown: return "all-shards-down";
-  }
-  return "?";
+  return obs::name_of(kRouterStatusRows, s);
 }
-
-// The sweepable taxonomy, for the --shard soak's coverage contract.
-inline const std::vector<RouterStatus>& all_router_statuses() {
-  static const std::vector<RouterStatus> statuses = {
-      RouterStatus::kRouted, RouterStatus::kFailedOver,
-      RouterStatus::kBrownoutShed, RouterStatus::kAllShardsDown};
-  return statuses;
-}
-
-// What the caller's retry table should think happened. Both shed shapes are
-// transient — brownouts clear when the dead shard restarts, and a full
-// outage clears when any restart lands — so a client retrying with backoff
-// eventually gets through; neither is ever fatal.
 inline robustness::Diagnostic diagnose_router_status(RouterStatus s) {
-  switch (s) {
-    case RouterStatus::kRouted: return robustness::Diagnostic::kOk;
-    case RouterStatus::kFailedOver: return robustness::Diagnostic::kOk;
-    case RouterStatus::kBrownoutShed:
-      return robustness::Diagnostic::kOverloaded;
-    case RouterStatus::kAllShardsDown:
-      return robustness::Diagnostic::kConnReset;
-  }
-  return robustness::Diagnostic::kInternalError;
+  return robustness::diagnosis_of(kRouterStatusRows, s);
 }
-
-// Monitoring leg: one counter per ending, so shed rate and failover rate
-// are readable straight off the counter snapshot.
 inline obs::Counter router_status_counter(RouterStatus s) {
-  switch (s) {
-    case RouterStatus::kRouted: return obs::Counter::kRouterRoutes;
-    case RouterStatus::kFailedOver: return obs::Counter::kRouterFailovers;
-    case RouterStatus::kBrownoutShed:
-      return obs::Counter::kRouterBrownoutSheds;
-    case RouterStatus::kAllShardsDown:
-      return obs::Counter::kRouterAllShardsDown;
-  }
-  return obs::Counter::kRouterAllShardsDown;
+  return robustness::counter_of(kRouterStatusRows, s,
+                                obs::Counter::kRouterAllShardsDown);
+}
+// The sweep the --shard soak's coverage contract iterates.
+inline const std::vector<RouterStatus>& all_router_statuses() {
+  return obs::sweep_of<kRouterStatusRows>();
 }
 
 struct RouterOptions {
@@ -194,7 +182,8 @@ class ShardRouter {
 
   struct Stats {
     std::uint64_t submits = 0;
-    std::uint64_t by_status[4] = {0, 0, 0, 0};  // indexed by RouterStatus
+    // Indexed by RouterStatus.
+    std::array<std::uint64_t, obs::kCountOf<RouterStatus>> by_status{};
     std::uint64_t failover_hops = 0;   // total extra shards walked
     std::uint64_t restarts = 0;        // shard respawns
     std::uint64_t evictions = 0;       // SIGKILLs for missed probes
@@ -202,7 +191,7 @@ class ShardRouter {
     std::uint64_t probe_failures = 0;  // heartbeats unanswered
     // ShardStatus states ever observed (indexed by ShardStatus) — the
     // --shard soak's taxonomy-coverage sweep reads this.
-    std::uint64_t shard_status_seen[5] = {0, 0, 0, 0, 0};
+    std::array<std::uint64_t, obs::kCountOf<ShardStatus>> shard_status_seen{};
     // Cache-locality numerator/denominator: answered-by-home vs answered.
     std::uint64_t answered = 0;
     std::uint64_t answered_by_home = 0;

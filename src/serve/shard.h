@@ -14,7 +14,7 @@
 //
 // ShardStatus is the router's view of one shard's lifecycle, and it is a
 // closed taxonomy in the FrontendStatus mold — named, diagnosed, counted,
-// and swept (pfact_lint rule PL019 keeps the four legs total). A status the
+// and swept (a static_assert keeps its row table total). A status the
 // router could observe but not classify would be exactly the silent
 // fallthrough this repo's taxonomies exist to prevent.
 
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "obs/counters.h"
+#include "obs/taxonomy.h"
 #include "robustness/diagnostics.h"
 #include "serve/queue.h"
 
@@ -37,60 +38,40 @@ enum class ShardStatus {
   kUnresponsive,  // probe deadline expired: evicted with SIGKILL (bulkhead)
   kDead,          // reaped by waitpid; death classified via WorkerExit
   kRestarting,    // waiting out the seeded restart backoff before respawn
+  kCount_,        // sentinel: number of states
 };
 
+// Each state's name, the diagnostic a request that needs the shard sees,
+// and the counter each transition bumps (so a restart storm shows in the
+// counter snapshot). Every non-serving state is a transient moment — the
+// shard recovers or its traffic fails over — so none maps to a fatal one.
+inline constexpr auto kShardStatusRows = [] {
+  using enum robustness::Diagnostic;
+  return obs::RowTable<robustness::CountedRow<ShardStatus>>{{
+      {ShardStatus::kStarting, "starting", kConnReset,
+       obs::Counter::kShardStarting},
+      {ShardStatus::kServing, "serving", kOk, obs::Counter::kShardServing},
+      {ShardStatus::kUnresponsive, "unresponsive", kDeadlineExceeded,
+       obs::Counter::kShardUnresponsive},
+      {ShardStatus::kDead, "dead", kWorkerFailure, obs::Counter::kShardDead},
+      {ShardStatus::kRestarting, "restarting", kConnReset,
+       obs::Counter::kShardRestarting},
+  }};
+}();
+static_assert(obs::is_row_table(kShardStatusRows));
+
 inline const char* shard_status_name(ShardStatus s) {
-  switch (s) {
-    case ShardStatus::kStarting: return "starting";
-    case ShardStatus::kServing: return "serving";
-    case ShardStatus::kUnresponsive: return "unresponsive";
-    case ShardStatus::kDead: return "dead";
-    case ShardStatus::kRestarting: return "restarting";
-  }
-  return "?";
+  return obs::name_of(kShardStatusRows, s);
 }
-
-// The sweepable taxonomy, for the --shard soak's full-coverage contract:
-// every state a shard can be in must actually be produced and survived by a
-// real campaign (kills, wedges, restart storms).
-inline const std::vector<ShardStatus>& all_shard_statuses() {
-  static const std::vector<ShardStatus> statuses = {
-      ShardStatus::kStarting, ShardStatus::kServing,
-      ShardStatus::kUnresponsive, ShardStatus::kDead,
-      ShardStatus::kRestarting};
-  return statuses;
-}
-
-// What a request that needs this shard should think happened. Every
-// non-serving state is a transient property of the moment — a booting,
-// wedged, dead, or backing-off shard recovers (or its traffic fails over) —
-// so each maps to a retryable diagnostic, never a fatal one.
 inline robustness::Diagnostic diagnose_shard_status(ShardStatus s) {
-  switch (s) {
-    case ShardStatus::kStarting: return robustness::Diagnostic::kConnReset;
-    case ShardStatus::kServing: return robustness::Diagnostic::kOk;
-    case ShardStatus::kUnresponsive:
-      return robustness::Diagnostic::kDeadlineExceeded;
-    case ShardStatus::kDead: return robustness::Diagnostic::kWorkerFailure;
-    case ShardStatus::kRestarting:
-      return robustness::Diagnostic::kConnReset;
-  }
-  return robustness::Diagnostic::kInternalError;
+  return robustness::diagnosis_of(kShardStatusRows, s);
 }
-
-// Monitoring leg: each state transition bumps its own counter, so a restart
-// storm or a flapping shard is visible in the counter snapshot, not just in
-// the router's logs.
 inline obs::Counter shard_status_counter(ShardStatus s) {
-  switch (s) {
-    case ShardStatus::kStarting: return obs::Counter::kShardStarting;
-    case ShardStatus::kServing: return obs::Counter::kShardServing;
-    case ShardStatus::kUnresponsive:
-      return obs::Counter::kShardUnresponsive;
-    case ShardStatus::kDead: return obs::Counter::kShardDead;
-    case ShardStatus::kRestarting: return obs::Counter::kShardRestarting;
-  }
-  return obs::Counter::kShardDead;
+  return robustness::counter_of(kShardStatusRows, s, obs::Counter::kShardDead);
+}
+// The sweep the --shard soak's campaigns must each produce and survive.
+inline const std::vector<ShardStatus>& all_shard_statuses() {
+  return obs::sweep_of<kShardStatusRows>();
 }
 
 // Everything needed to fork (and re-fork, bit-identically) one shard.

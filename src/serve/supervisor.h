@@ -10,55 +10,23 @@
 // checkpoints it already streamed over the pipe seed its successor. The
 // decision table is unchanged — classify_diagnostic over the same
 // Diagnostic taxonomy — because every way a worker can die is first mapped
-// into that taxonomy by diagnose_worker_exit below. The zero-wrong-answer
-// contract survives the boundary twice over: the worker's own cross-check
-// certificate rides in the result frame, and the supervisor re-checks the
-// returned value against the task's direct evaluation before certifying
-// (a corrupted worker may die; it may not lie).
+// into that taxonomy by diagnose_worker_exit (the WorkerExit rows in
+// warm_pool.h). The zero-wrong-answer contract survives the boundary twice
+// over: the worker's own cross-check certificate rides in the result frame,
+// and the supervisor re-checks the returned value against the task's
+// direct evaluation before certifying (a corrupted worker may die; it may
+// not lie).
 
 #include <chrono>
 #include <cstddef>
 #include <functional>
 #include <string>
 
-#include "robustness/diagnostics.h"
 #include "robustness/resilient_run.h"
 #include "serve/warm_pool.h"
 #include "serve/wire.h"
 
 namespace pfact::serve {
-
-// Maps HOW a worker process ended into WHAT the retry loop should think
-// happened. Total over WorkerExit (enforced by -Wswitch-enum on this TU and
-// by pfact_lint rule PL009); every death class lands on a *transient*
-// diagnostic — a fresh worker on the same substrate is always worth one
-// more try, and the retry budget bounds the attempts.
-//
-//   kCompleted     -> kOk        (the result frame's own diagnostic governs)
-//   kNonzeroExit   -> kWorkerFailure
-//   kSignalled     -> kWorkerFailure
-//   kProtocolError -> kWorkerFailure
-//   kCpuLimit      -> kResourceExhausted (the rlimit sandbox fired)
-//   kWatchdog      -> kDeadlineExceeded  (the supervisor's own deadline)
-//   kForkFailure   -> kResourceExhausted (out of pids/memory; retry later)
-inline robustness::Diagnostic diagnose_worker_exit(WorkerExit e) {
-  switch (e) {
-    case WorkerExit::kCompleted: return robustness::Diagnostic::kOk;
-    case WorkerExit::kNonzeroExit:
-      return robustness::Diagnostic::kWorkerFailure;
-    case WorkerExit::kSignalled:
-      return robustness::Diagnostic::kWorkerFailure;
-    case WorkerExit::kCpuLimit:
-      return robustness::Diagnostic::kResourceExhausted;
-    case WorkerExit::kWatchdog:
-      return robustness::Diagnostic::kDeadlineExceeded;
-    case WorkerExit::kProtocolError:
-      return robustness::Diagnostic::kWorkerFailure;
-    case WorkerExit::kForkFailure:
-      return robustness::Diagnostic::kResourceExhausted;
-  }
-  return robustness::Diagnostic::kInternalError;
-}
 
 // ResilientOptions (retry, limits, ladder, checkpoint cadence and store,
 // fault schedule, sleeper) plus what only a worker process has. Checkpoints

@@ -46,6 +46,7 @@
 #include <sys/types.h>
 #include <vector>
 
+#include "obs/taxonomy.h"
 #include "parallel/annotations.h"
 #include "robustness/checkpoint.h"
 #include "robustness/diagnostics.h"
@@ -54,9 +55,7 @@
 namespace pfact::serve {
 
 // How a worker subprocess ended, from the supervisor's chair. Total: every
-// waitpid outcome lands in exactly one class (pfact_lint rule PL009 checks
-// that each class has a printable name, a Diagnostic mapping, and soak
-// coverage).
+// waitpid outcome lands in exactly one class.
 enum class WorkerExit {
   kCompleted,      // exit(0) AND a decodable result frame arrived
   kNonzeroExit,    // exited by itself with a nonzero status
@@ -65,32 +64,38 @@ enum class WorkerExit {
   kWatchdog,       // SIGKILLed by this pool's own watchdog deadline
   kProtocolError,  // exited 0 but the result frame is missing or corrupt
   kForkFailure,    // fork()/pipe() failed: no worker ever existed
+  kCount_,         // sentinel: number of death classes
 };
 
-inline const char* worker_exit_name(WorkerExit e) {
-  switch (e) {
-    case WorkerExit::kCompleted: return "completed";
-    case WorkerExit::kNonzeroExit: return "nonzero-exit";
-    case WorkerExit::kSignalled: return "signalled";
-    case WorkerExit::kCpuLimit: return "cpu-limit";
-    case WorkerExit::kWatchdog: return "watchdog";
-    case WorkerExit::kProtocolError: return "protocol-error";
-    case WorkerExit::kForkFailure: return "fork-failure";
-  }
-  return "?";
-}
+// Each death class's name and what the retry loop should think happened.
+// Every death is *transient*: a fresh worker on the same substrate is always
+// worth one more try, and the retry budget bounds the attempts.
+inline constexpr auto kWorkerExitRows = [] {
+  using enum robustness::Diagnostic;
+  return obs::RowTable<robustness::DiagnosedRow<WorkerExit>>{{
+      // The result frame's own diagnostic governs.
+      {WorkerExit::kCompleted, "completed", kOk},
+      {WorkerExit::kNonzeroExit, "nonzero-exit", kWorkerFailure},
+      {WorkerExit::kSignalled, "signalled", kWorkerFailure},
+      {WorkerExit::kCpuLimit, "cpu-limit", kResourceExhausted},
+      {WorkerExit::kWatchdog, "watchdog", kDeadlineExceeded},
+      {WorkerExit::kProtocolError, "protocol-error", kWorkerFailure},
+      // Out of pids or memory: retry later.
+      {WorkerExit::kForkFailure, "fork-failure", kResourceExhausted},
+  }};
+}();
+static_assert(obs::is_row_table(kWorkerExitRows));
 
-// The sweepable taxonomy, for the soak harness's coverage assertion (every
-// death class the pool can report must actually be produced and survived
-// by a real-kill campaign). kCompleted is included: a sweep that never
-// completes anything proves nothing.
+inline const char* worker_exit_name(WorkerExit e) {
+  return obs::name_of(kWorkerExitRows, e);
+}
+inline robustness::Diagnostic diagnose_worker_exit(WorkerExit e) {
+  return robustness::diagnosis_of(kWorkerExitRows, e);
+}
+// The sweep the real-kill soak must cover, kCompleted included: a sweep
+// that never completes anything proves nothing.
 inline const std::vector<WorkerExit>& all_worker_exits() {
-  static const std::vector<WorkerExit> classes = {
-      WorkerExit::kCompleted,  WorkerExit::kNonzeroExit,
-      WorkerExit::kSignalled,  WorkerExit::kCpuLimit,
-      WorkerExit::kWatchdog,   WorkerExit::kProtocolError,
-      WorkerExit::kForkFailure};
-  return classes;
+  return obs::sweep_of<kWorkerExitRows>();
 }
 
 // Everything one job on a worker produced.

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "circuit/io.h"
+#include "obs/taxonomy.h"
 #include "robustness/checkpoint.h"
 
 namespace pfact::serve {
@@ -40,8 +41,7 @@ bool to_backend(std::uint32_t v, robustness::Backend& out) {
 }
 
 bool to_fault(std::uint32_t v, robustness::FaultClass& out) {
-  if (v > static_cast<std::uint32_t>(robustness::FaultClass::kTornWrite))
-    return false;
+  if (v >= obs::kCountOf<robustness::FaultClass>) return false;
   out = static_cast<robustness::FaultClass>(v);
   return true;
 }
@@ -189,9 +189,8 @@ bool decode_result(std::string_view payload, robustness::RunReport& out) {
   ByteReader r(payload);
   robustness::RunReport rep;
   const std::uint32_t diag = r.get_u32();
-  // Bound tracks the LAST Diagnostic enumerator (append-only taxonomy).
-  if (diag > static_cast<std::uint32_t>(robustness::Diagnostic::kConnReset))
-    return false;
+  // The taxonomy is append-only: every ordinal below kCount_ decodes.
+  if (diag >= obs::kCountOf<robustness::Diagnostic>) return false;
   rep.diagnostic = static_cast<robustness::Diagnostic>(diag);
   rep.value = r.get_u8() != 0;
   rep.algorithm = r.get_string();

@@ -21,6 +21,7 @@
 #include "circuit/builders.h"
 #include "circuit/circuit.h"
 #include "obs/counters.h"
+#include "obs/taxonomy.h"
 #include "robustness/checkpoint.h"
 #include "robustness/retry.h"
 #include "serve/client.h"
@@ -39,6 +40,8 @@ using robustness::FailureKind;
 using robustness::ReductionTask;
 using robustness::Substrate;
 using robustness::detail::ByteWriter;
+
+constexpr bool kObsOn = PFACT_OBS_ENABLED != 0;
 
 ReductionTask gem_xor_task() {
   ReductionTask task;
@@ -194,6 +197,26 @@ TEST(FrontendCodec, ResponseRoundTripsAndRejectsOutOfRangeOrdinals) {
   std::string bad = payload;
   bad[0] = 99;
   EXPECT_FALSE(decode_response(bad, back));
+  // Every in-range ordinal of both taxonomies decodes, and the first one
+  // past each (its kCount_) is refused.
+  for (std::size_t i = 0; i <= obs::kCountOf<FrontendStatus>; ++i) {
+    FrontendResponse r = resp;
+    r.status = static_cast<FrontendStatus>(i);
+    const bool in_range = i < obs::kCountOf<FrontendStatus>;
+    EXPECT_EQ(decode_response(encode_response(r), back), in_range) << i;
+    if (in_range) {
+      EXPECT_EQ(back.status, r.status) << i;
+    }
+  }
+  for (std::size_t i = 0; i <= obs::kCountOf<Admission>; ++i) {
+    FrontendResponse r = resp;
+    r.admission = static_cast<Admission>(i);
+    const bool in_range = i < obs::kCountOf<Admission>;
+    EXPECT_EQ(decode_response(encode_response(r), back), in_range) << i;
+    if (in_range) {
+      EXPECT_EQ(back.admission, r.admission) << i;
+    }
+  }
   // Truncation at every boundary parses nowhere.
   for (std::size_t cut : {std::size_t{0}, std::size_t{3}, std::size_t{9},
                           payload.size() - 1}) {
@@ -301,6 +324,7 @@ TEST(FrontendRoundTrip, SocketAnswerDecodesBitEqualToInProcessBaseline) {
 TEST(FrontendRejectionMatrix, EveryFaultShapeTimesEveryFrameTypeClassifies) {
   ::signal(SIGPIPE, SIG_IGN);
   Rig rig(32, std::chrono::milliseconds(250));
+  obs::ScopedCounters sc;
   TaskRequest req;
   req.task = gem_xor_task();
   const std::string payload = encode_request(req);
@@ -321,7 +345,9 @@ TEST(FrontendRejectionMatrix, EveryFaultShapeTimesEveryFrameTypeClassifies) {
       bool expect_response = true;
       FrontendStatus want = FrontendStatus::kMalformedFrame;
       switch (fault) {
-        case NetFault::kNone: break;
+        case NetFault::kNone:
+        case NetFault::kCount_:
+          break;
         case NetFault::kTornFrame:
           // Header plus half the payload, then vanish. With a valid request
           // header the server waits for the payload and the EOF is a
@@ -404,6 +430,19 @@ TEST(FrontendRejectionMatrix, EveryFaultShapeTimesEveryFrameTypeClassifies) {
   EXPECT_GT(stats.status(FrontendStatus::kDeadline), 0u);
   EXPECT_GT(stats.status(FrontendStatus::kConnReset), 0u);
   EXPECT_GT(stats.status(FrontendStatus::kAccepted), 0u);
+  // Each ending also bumped its own counter. The bump precedes the stats
+  // increment, so a counter can run ahead of the stats but never behind.
+  const obs::CounterDelta d = sc.delta();
+  if (kObsOn) {
+    EXPECT_GE(d[obs::Counter::kFrontendMalformed],
+              stats.status(FrontendStatus::kMalformedFrame));
+    EXPECT_GE(d[obs::Counter::kFrontendDeadlineEvictions],
+              stats.status(FrontendStatus::kDeadline));
+    EXPECT_GE(d[obs::Counter::kFrontendConnResets],
+              stats.status(FrontendStatus::kConnReset));
+    EXPECT_GE(d[obs::Counter::kFrontendAccepted],
+              stats.status(FrontendStatus::kAccepted));
+  }
   Client client(rig.client_options());
   ClientResult after = client.submit(gem_xor_task());
   ASSERT_TRUE(after.ok);
@@ -437,6 +476,7 @@ TEST(FrontendDeadlines, SlowlorisIsEvictedWithAClassifiedResponse) {
 
 TEST(FrontendOverload, ConnectionBoundShedsWithClassifiedRefusal) {
   Rig rig(/*max_connections=*/1);
+  obs::ScopedCounters sc;
   // One idle connection pins the only slot.
   const int holder = raw_connect(rig.frontend->unix_path());
   ASSERT_GE(holder, 0);
@@ -462,10 +502,14 @@ TEST(FrontendOverload, ConnectionBoundShedsWithClassifiedRefusal) {
   ClientResult ok = client.submit(gem_xor_task());
   ASSERT_TRUE(ok.ok);  // the slot freed; the same client now succeeds
   EXPECT_GE(rig.frontend->stats().status(FrontendStatus::kOverloaded), 2u);
+  if (kObsOn) {
+    EXPECT_GE(sc.delta()[obs::Counter::kFrontendOverloadSheds], 2u);
+  }
 }
 
 TEST(FrontendDrain, RefusesMidDrainRequestsAndFinishesInFlight) {
   Rig rig;
+  obs::ScopedCounters sc;
   Client client(rig.client_options());
   ASSERT_TRUE(client.submit(gem_xor_task()).ok);
 
@@ -498,6 +542,10 @@ TEST(FrontendDrain, RefusesMidDrainRequestsAndFinishesInFlight) {
   ::close(fd);
 
   EXPECT_TRUE(wait_until([&] { return rig.frontend->drained(); }));
+  EXPECT_GE(rig.frontend->stats().status(FrontendStatus::kDraining), 1u);
+  if (kObsOn) {
+    EXPECT_GE(sc.delta()[obs::Counter::kFrontendDrainRefusals], 1u);
+  }
   // Draining stopped the listener: new connections are refused outright.
   EXPECT_LT(raw_connect(rig.frontend->unix_path()), 0);
   ClientResult post = client.submit(gem_xor_task());
@@ -570,8 +618,6 @@ TEST(FrontendClient, BackoffMirrorsRetryPolicyBitForBit) {
 }
 
 // --- connection reuse ----------------------------------------------------------
-
-constexpr bool kObsOn = PFACT_OBS_ENABLED != 0;
 
 TEST(FrontendReuse, OneClientKeepsOneConnectionAcrossSubmits) {
   Rig rig;

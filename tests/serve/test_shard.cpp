@@ -87,7 +87,7 @@ bool traces_equal(const factor::PivotTrace& a, const factor::PivotTrace& b) {
   return true;
 }
 
-// --- taxonomy totality (the four legs, runtime half of PL019) --------------
+// --- taxonomy totality (the four legs of the row tables, at runtime) -------
 
 TEST(ShardTaxonomy, EveryShardStatusHasAllFourLegs) {
   ASSERT_EQ(all_shard_statuses().size(), 5u);
@@ -262,6 +262,9 @@ TEST(ShardRouterTest, FailsOverAroundAKilledShardAndHeals) {
         // Transiently possible while the survivor is also saturated; must
         // still be classified.
         EXPECT_NE(r.response.report.diagnostic, Diagnostic::kInternalError);
+        break;
+      case RouterStatus::kCount_:
+        ADD_FAILURE() << "the sentinel is not an ending";
         break;
     }
   }

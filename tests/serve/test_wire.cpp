@@ -18,6 +18,7 @@
 
 #include "circuit/builders.h"
 #include "circuit/circuit.h"
+#include "obs/taxonomy.h"
 #include "robustness/escalation.h"
 #include "robustness/guarded_run.h"
 #include "robustness/retry.h"
@@ -80,6 +81,17 @@ TEST(Wire, RequestRoundTripsACircuitTask) {
   EXPECT_EQ(back.kill.after_saves, req.kill.after_saves);
   EXPECT_EQ(back.rlimits.address_space_bytes, req.rlimits.address_space_bytes);
   EXPECT_EQ(back.rlimits.cpu_seconds, req.rlimits.cpu_seconds);
+
+  // Every FaultClass ordinal decodes, and the first one past the taxonomy
+  // (its kCount_) is refused as malformed.
+  constexpr std::size_t kFaults = obs::kCountOf<robustness::FaultClass>;
+  for (std::size_t i = 0; i <= kFaults; ++i) {
+    req.fault.fault = static_cast<robustness::FaultClass>(i);
+    EXPECT_EQ(decode_request(encode_request(req), back), i < kFaults) << i;
+    if (i < kFaults) {
+      EXPECT_EQ(back.fault.fault, req.fault.fault) << i;
+    }
+  }
 }
 
 TEST(Wire, RequestRoundTripsAChainTaskWithEmptyInstance) {
@@ -121,6 +133,18 @@ TEST(Wire, ResultRoundTripsAFullRealReport) {
     EXPECT_EQ(back.trace[i].pivot_pos, rep.trace[i].pivot_pos);
     EXPECT_EQ(back.trace[i].pivot_row, rep.trace[i].pivot_row);
     EXPECT_EQ(back.trace[i].action, rep.trace[i].action);
+  }
+
+  // Every Diagnostic ordinal decodes, and the first one past the taxonomy
+  // (its kCount_) is refused as malformed.
+  constexpr std::size_t kDiagnostics = obs::kCountOf<Diagnostic>;
+  for (std::size_t i = 0; i <= kDiagnostics; ++i) {
+    RunReport r = rep;
+    r.diagnostic = static_cast<Diagnostic>(i);
+    EXPECT_EQ(decode_result(encode_result(r), back), i < kDiagnostics) << i;
+    if (i < kDiagnostics) {
+      EXPECT_EQ(back.diagnostic, r.diagnostic) << i;
+    }
   }
 }
 

@@ -1,22 +1,25 @@
+// staticcheck fixture: the Counter/Histogram name rows in the house shape
+// pfact_lint parses. Not compiled — parsed only.
 #include "obs/counters.h"
+
+#include "obs/taxonomy.h"
 
 namespace pfact::obs {
 
-const char* counter_name(Counter c) {
-  switch (c) {
-    case Counter::kElimSteps: return "elim-steps";
-    case Counter::kRowUpdates: return "row-updates";
-    case Counter::kCount_: break;
-  }
-  return "?";
-}
+namespace {
 
-const char* histogram_name(Histogram h) {
-  switch (h) {
-    case Histogram::kPivotMoveDistance: return "pivot-move-distance";
-    case Histogram::kCount_: break;
-  }
-  return "?";
-}
+constexpr std::array<NameRow<Counter>, kNumCounters> kCounterRows = {{
+    {Counter::kElimSteps, "elim-steps"},
+    {Counter::kRowUpdates, "row-updates"},
+}};
+
+constexpr std::array<NameRow<Histogram>, kNumHistograms> kHistogramRows = {{
+    {Histogram::kPivotMoveDistance, "pivot-move-distance"},
+}};
+
+static_assert(is_row_table(kCounterRows));
+static_assert(is_row_table(kHistogramRows));
+
+}  // namespace
 
 }  // namespace pfact::obs

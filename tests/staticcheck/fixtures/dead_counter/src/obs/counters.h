@@ -1,7 +1,7 @@
 #pragma once
 // Seeded violation for PL017: Counter::kOrphanEvents is fully registered
-// (enum + name case, so PL001/PL002 stay quiet) but nothing in src/ or
-// bench/ ever bumps it and no test or bench source observes it.
+// (enum + name row) but nothing in src/ or bench/ ever bumps it and no test
+// or bench source observes it.
 
 namespace pfact::obs {
 

@@ -6,7 +6,9 @@
 // it — so a fixture documents exactly the drift it seeds.
 //
 // The binary is exercised as a subprocess (not a linked library) because
-// the exit status IS part of the contract: CI gates on it.
+// the exit status IS part of the contract: CI gates on it. The taxonomy-gap
+// tests at the end run the compiler as a subprocess the same way: the gaps
+// the retired taxonomy rules reported are compile errors now.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +16,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -24,16 +30,17 @@ namespace {
 
 namespace fs = std::filesystem;
 
-struct LintResult {
+struct RunResult {
   int exit_code = -1;
   std::string output;
 };
 
-LintResult run_lint(const std::string& args) {
-  const std::string cmd = std::string(PFACT_LINT_BIN) + " " + args + " 2>&1";
+// Runs `cmd` with stderr merged into the captured output.
+RunResult run_command(std::string cmd) {
+  cmd += " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << "popen failed for: " << cmd;
-  LintResult res;
+  RunResult res;
   if (pipe == nullptr) return res;
   std::array<char, 4096> buf;
   while (std::fgets(buf.data(), buf.size(), pipe) != nullptr) {
@@ -42,6 +49,10 @@ LintResult run_lint(const std::string& args) {
   const int status = pclose(pipe);
   res.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return res;
+}
+
+RunResult run_lint(const std::string& args) {
+  return run_command(std::string(PFACT_LINT_BIN) + " " + args);
 }
 
 // A tree private to this test and process: ctest runs every test as its own
@@ -82,7 +93,7 @@ fs::path materialize(const std::string& overlay) {
 void expect_violation(const std::string& overlay, const std::string& rule,
                       const std::string& symbol) {
   const fs::path root = materialize(overlay);
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find(rule), std::string::npos)
       << "expected " << rule << " in:\n" << res.output;
@@ -92,38 +103,20 @@ void expect_violation(const std::string& overlay, const std::string& rule,
 
 TEST(PfactLint, CleanFixturePasses) {
   const fs::path root = materialize("base");
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 0) << res.output;
   EXPECT_NE(res.output.find("clean"), std::string::npos) << res.output;
 }
 
 // The acceptance bar for every commit: HEAD itself lints clean.
 TEST(PfactLint, RepositoryHeadIsClean) {
-  const LintResult res = run_lint(std::string("--root ") + PFACT_REPO_ROOT);
+  const RunResult res = run_lint(std::string("--root ") + PFACT_REPO_ROOT);
   EXPECT_EQ(res.exit_code, 0) << res.output;
-}
-
-TEST(PfactLint, UnnamedCounterFailsPL001) {
-  expect_violation("unnamed_counter", "PL001", "Counter::kRowUpdates");
-}
-
-TEST(PfactLint, NameCollisionFailsPL002) {
-  expect_violation("name_collision", "PL002", "elim-steps");
-}
-
-TEST(PfactLint, UnhandledFaultClassFailsPL004) {
-  expect_violation("unhandled_fault_class", "PL004",
-                   "FaultClass::kRoundingFlip");
-}
-
-TEST(PfactLint, UnclassifiedDiagnosticFailsPL005) {
-  expect_violation("unclassified_diagnostic", "PL005",
-                   "Diagnostic::kMystery");
 }
 
 TEST(PfactLint, DuplicateCheckpointTagFailsPL006) {
   const fs::path root = materialize("duplicate_checkpoint_tag");
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find("PL006"), std::string::npos) << res.output;
   // The duplicate fires alone: the fixture manifest matches the duplicated
@@ -140,53 +133,9 @@ TEST(PfactLint, OutdatedManifestFailsPL008) {
   expect_violation("outdated_manifest", "PL008", "--update-manifest");
 }
 
-TEST(PfactLint, UnmappedWorkerExitFailsPL009) {
-  expect_violation("unmapped_worker_exit", "PL009", "WorkerExit::kMystery");
-}
-
-TEST(PfactLint, UnsweptWorkerExitFailsPL009) {
-  const fs::path root = materialize("unswept_worker_exit");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL009"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("all_worker_exits"), std::string::npos)
-      << res.output;
-  // kMystery IS named and diagnosed in this overlay, so the sweep gap is
-  // the only finding — the rule localizes, not shotgun-blasts.
-  EXPECT_EQ(res.output.find("diagnose_worker_exit()"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, UnmappedAdmissionFailsPL010) {
-  const fs::path root = materialize("unmapped_admission");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL010"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("Admission::kShedShutdown"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("diagnose_admission"), std::string::npos)
-      << res.output;
-  // kShedShutdown IS named and swept in this overlay: one finding only.
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, UnsweptCacheProbeFailsPL010) {
-  const fs::path root = materialize("unswept_cache_probe");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL010"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("CacheProbe::kEnvelopeRejected"),
-            std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("all_cache_probes"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
 TEST(PfactLint, UnsweptSparseTagFailsPL011) {
   const fs::path root = materialize("unswept_sparse_tag");
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find("PL011"), std::string::npos) << res.output;
   EXPECT_NE(res.output.find("sparse_field_tag<float>"), std::string::npos)
@@ -200,7 +149,7 @@ TEST(PfactLint, UnsweptSparseTagFailsPL011) {
 
 TEST(PfactLint, OrphanSparseTagFailsPL011) {
   const fs::path root = materialize("orphan_sparse_tag");
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find("PL011"), std::string::npos) << res.output;
   EXPECT_NE(res.output.find("sparse_field_tag<int>"), std::string::npos)
@@ -212,39 +161,9 @@ TEST(PfactLint, OrphanSparseTagFailsPL011) {
   EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
 }
 
-TEST(PfactLint, UncountedFrontendStatusFailsPL012) {
-  const fs::path root = materialize("uncounted_frontend_status");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL012"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("FrontendStatus::kDraining"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("frontend_status_counter"), std::string::npos)
-      << res.output;
-  // kDraining IS named, diagnosed, and swept in this overlay: the missing
-  // counter is the only finding.
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, UnsweptFrontendStatusFailsPL012) {
-  const fs::path root = materialize("unswept_frontend_status");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL012"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("FrontendStatus::kConnReset"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("all_frontend_statuses"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, UnnamedHistogramFailsPL003) {
-  expect_violation("unnamed_histogram", "PL003", "Histogram::kSpread");
-}
-
 TEST(PfactLint, CodecWidthMismatchFailsPL013) {
   const fs::path root = materialize("codec_width_mismatch");
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find("PL013"), std::string::npos) << res.output;
   EXPECT_NE(res.output.find("encode_frame/decode_frame"), std::string::npos)
@@ -258,7 +177,7 @@ TEST(PfactLint, CodecWidthMismatchFailsPL013) {
 
 TEST(PfactLint, CodecUnpairedFieldFailsPL013) {
   const fs::path root = materialize("codec_unpaired_field");
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find("PL013"), std::string::npos) << res.output;
   EXPECT_NE(res.output.find("unpaired trailing 'u64'"), std::string::npos)
@@ -270,7 +189,7 @@ TEST(PfactLint, CodecUnpairedFieldFailsPL013) {
 
 TEST(PfactLint, UndeadlinedReadFailsPL014) {
   const fs::path root = materialize("undeadlined_read");
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find("PL014"), std::string::npos) << res.output;
   EXPECT_NE(res.output.find("raw ::read()"), std::string::npos) << res.output;
@@ -283,7 +202,7 @@ TEST(PfactLint, UndeadlinedReadFailsPL014) {
 
 TEST(PfactLint, StaleWaiverFailsPL014) {
   const fs::path root = materialize("stale_waiver");
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find("PL014"), std::string::npos) << res.output;
   EXPECT_NE(res.output.find("stale waiver: read_exact()"), std::string::npos)
@@ -294,7 +213,7 @@ TEST(PfactLint, StaleWaiverFailsPL014) {
 
 TEST(PfactLint, UnsafeSignalHandlerFailsPL015) {
   const fs::path root = materialize("unsafe_signal_handler");
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find("PL015"), std::string::npos) << res.output;
   EXPECT_NE(res.output.find("on_usr1"), std::string::npos) << res.output;
@@ -306,7 +225,7 @@ TEST(PfactLint, UnsafeSignalHandlerFailsPL015) {
 
 TEST(PfactLint, LayeringBackEdgeFailsPL016) {
   const fs::path root = materialize("layering_back_edge");
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find("PL016"), std::string::npos) << res.output;
   EXPECT_NE(res.output.find("serve/frontend.h"), std::string::npos)
@@ -317,7 +236,7 @@ TEST(PfactLint, LayeringBackEdgeFailsPL016) {
 
 TEST(PfactLint, DeadCounterFailsPL017) {
   const fs::path root = materialize("dead_counter");
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find("PL017"), std::string::npos) << res.output;
   EXPECT_NE(res.output.find("Counter::kOrphanEvents"), std::string::npos)
@@ -326,16 +245,43 @@ TEST(PfactLint, DeadCounterFailsPL017) {
       << res.output;
   EXPECT_NE(res.output.find("not asserted or recorded"), std::string::npos)
       << res.output;
-  // Fully registered (enum + name case): PL001/PL002 stay quiet and the
-  // dead counter is the only finding, located in the enum header.
+  // Fully registered (enum + name row): the dead counter is the only
+  // finding, located in the enum header.
   EXPECT_NE(res.output.find("src/obs/counters.h:"), std::string::npos)
       << res.output;
   EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
 }
 
+// Without the enum header there is no taxonomy to check for liveness: PL017
+// says so instead of passing silently.
+TEST(PfactLint, MissingCountersHeaderFailsPL017) {
+  const fs::path root = materialize("base");
+  fs::remove(root / "src" / "obs" / "counters.h");
+  const RunResult res = run_lint("--root " + root.string());
+  EXPECT_EQ(res.exit_code, 1) << res.output;
+  EXPECT_NE(res.output.find("PL017"), std::string::npos) << res.output;
+  EXPECT_NE(res.output.find("src/obs/counters.h not found"),
+            std::string::npos)
+      << res.output;
+}
+
+// Fixture trees under tests/staticcheck/fixtures/ are linter inputs, not
+// tests: a counter named only there is still unobserved.
+TEST(PfactLint, FixtureTextDoesNotObserveACounterPL017) {
+  const fs::path root = materialize("dead_counter");
+  const fs::path nested = root / "tests" / "staticcheck" / "fixtures" / "x";
+  fs::create_directories(nested);
+  std::ofstream(nested / "mention.cpp")
+      << "EXPECT_GT(d[Counter::kOrphanEvents], 0u);  // \"orphan-events\"\n";
+  const RunResult res = run_lint("--root " + root.string());
+  EXPECT_EQ(res.exit_code, 1) << res.output;
+  EXPECT_NE(res.output.find("not asserted or recorded"), std::string::npos)
+      << res.output;
+}
+
 TEST(PfactLint, AdhocRetrySleepFailsPL018) {
   const fs::path root = materialize("adhoc_retry_sleep");
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find("PL018"), std::string::npos) << res.output;
   EXPECT_NE(res.output.find("usleep() in redial()"), std::string::npos)
@@ -349,7 +295,7 @@ TEST(PfactLint, AdhocRetrySleepFailsPL018) {
 
 TEST(PfactLint, StaleBackoffWaiverFailsPL018) {
   const fs::path root = materialize("stale_backoff_waiver");
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 1) << res.output;
   EXPECT_NE(res.output.find("PL018"), std::string::npos) << res.output;
   EXPECT_NE(res.output.find("stale waiver: run_attempt()"), std::string::npos)
@@ -359,56 +305,287 @@ TEST(PfactLint, StaleBackoffWaiverFailsPL018) {
   EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
 }
 
-TEST(PfactLint, UnsweptShardStatusFailsPL019) {
-  const fs::path root = materialize("unswept_shard_status");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL019"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("ShardStatus::kUnresponsive"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("all_shard_statuses"), std::string::npos)
-      << res.output;
-  // kUnresponsive IS named, diagnosed, and counted in this overlay, and the
-  // RouterStatus taxonomy is untouched: the sweep gap is the only finding.
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, UncountedRouterStatusFailsPL019) {
-  const fs::path root = materialize("uncounted_router_status");
-  const LintResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL019"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("RouterStatus::kBrownoutShed"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("router_status_counter"), std::string::npos)
-      << res.output;
-  // kBrownoutShed IS named, diagnosed, and swept in this overlay: the
-  // missing counter is the only finding.
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
 // --update-manifest is the sanctioned way out of PL007/PL008: after a
 // legitimate schema change plus version bump, regenerating the manifest
 // returns the tree to clean.
 TEST(PfactLint, UpdateManifestRepairsOutdatedManifest) {
   const fs::path root = materialize("outdated_manifest");
-  const LintResult regen =
+  const RunResult regen =
       run_lint("--root " + root.string() + " --update-manifest");
   EXPECT_EQ(regen.exit_code, 0) << regen.output;
-  const LintResult res = run_lint("--root " + root.string());
+  const RunResult res = run_lint("--root " + root.string());
   EXPECT_EQ(res.exit_code, 0) << res.output;
 }
 
 TEST(PfactLint, MissingRootIsAUsageError) {
-  const LintResult res = run_lint("");
+  const RunResult res = run_lint("");
   EXPECT_EQ(res.exit_code, 2) << res.output;
 }
 
 TEST(PfactLint, UnreadableTreeIsAnIoError) {
-  const LintResult res =
+  const RunResult res =
       run_lint("--root " + (fs::path(testing::TempDir()) /
                             "pfact_lint_does_not_exist").string());
   EXPECT_EQ(res.exit_code, 2) << res.output;
+}
+
+// --- Taxonomy gaps, now compile errors ---------------------------------------
+// PL001-PL005, PL009, PL010, PL012 and PL019 found gaps in the closed
+// taxonomies by scraping their switches and sweep lists. Each taxonomy is
+// now a row table under static_assert(obs::is_row_table(rows))
+// (src/obs/taxonomy.h), so the compiler finds those gaps, and these tests
+// keep the rules' names. Each seeds its gap into a copy of the real source
+// file and compiles it as the taxonomy TUs build. A missing row, or a row
+// whose id is not its slot's enumerator (a sweep list is the id column),
+// fails the table's static_assert. A row without its Diagnostic,
+// FailureKind or counter is a -Werror=missing-field-initializers error.
+
+// An edit of a source file's text. It returns false when its anchor is
+// missing, so a reformatted file fails the test instead of compiling clean.
+using Edit = std::function<bool(std::string&)>;
+
+// Replaces the first `from` after the first `anchor` with `to`.
+Edit replace_after(std::string anchor, std::string from, std::string to) {
+  return [=](std::string& text) {
+    const std::size_t a = text.find(anchor);
+    const std::size_t at = a == std::string::npos ? a : text.find(from, a);
+    if (at == std::string::npos) return false;
+    text.replace(at, from.size(), to);
+    return true;
+  };
+}
+
+// A new enumerator just before `taxonomy`'s kCount_ sentinel.
+Edit add_enumerator(const std::string& taxonomy, const std::string& name) {
+  return replace_after("enum class " + taxonomy, "  kCount_,",
+                       "  " + name + ",\n  kCount_,");
+}
+
+// A new last row of `table`.
+Edit append_row(const std::string& table, const std::string& row) {
+  return replace_after(table + " = ", "  }};", "      " + row + ",\n  }};");
+}
+
+// The row of enumerator `id` carries `other` as its id instead.
+Edit reid_row(const std::string& id, const std::string& other) {
+  return replace_after("", "{" + id + ",", "{" + other + ",");
+}
+
+// [begin, end) of the braces of enumerator `id`'s row; begin is npos when
+// there is no such row.
+std::pair<std::size_t, std::size_t> find_row(const std::string& text,
+                                             const std::string& id) {
+  const std::size_t begin = text.find("{" + id + ",");
+  int depth = 0;
+  for (std::size_t i = begin; begin != std::string::npos && i < text.size();
+       ++i) {
+    if (text[i] == '{') ++depth;
+    if (text[i] == '}' && --depth == 0) return {begin, i + 1};
+  }
+  return {std::string::npos, 0};
+}
+
+// Enumerator `id`'s row is gone, with its trailing comma.
+Edit drop_row(const std::string& id) {
+  return [=](std::string& text) {
+    auto [begin, end] = find_row(text, id);
+    if (begin == std::string::npos) return false;
+    if (end < text.size() && text[end] == ',') ++end;
+    text.erase(begin, end - begin);
+    return true;
+  };
+}
+
+// Enumerator `id`'s row loses its last column.
+Edit drop_last_column(const std::string& id) {
+  return [=](std::string& text) {
+    const auto [begin, end] = find_row(text, id);
+    if (begin == std::string::npos) return false;
+    const std::size_t comma = text.rfind(',', end - 1);
+    text.erase(comma, end - 1 - comma);
+    return true;
+  };
+}
+
+// Compiles `unit` (a .cpp under src/, or a header that a one-line probe
+// includes) with src/`file` replaced by a copy that has `edits` applied.
+// The copy sits in a private tree ahead of the real src/ on the include
+// path; PFACT_TAXONOMY_CXX carries the taxonomy TUs' warnings.
+RunResult compile_with_gap(const std::string& file,
+                           const std::vector<Edit>& edits,
+                           const std::string& unit) {
+  const fs::path real = fs::path(PFACT_REPO_ROOT) / "src";
+  const fs::path tree = fixture_tree_dir("taxonomy_gap");
+  fs::remove_all(tree);
+  fs::create_directories((tree / "src" / file).parent_path());
+  std::ifstream in(real / file);
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  for (const Edit& edit : edits) {
+    if (!edit(text)) {
+      ADD_FAILURE() << "an edit found no anchor in src/" << file;
+      return {};
+    }
+  }
+  std::ofstream(tree / "src" / file) << text;
+  fs::path tu = tree / "src" / unit;
+  if (tu.extension() == ".h") {
+    tu = tree / "probe.cpp";
+    std::ofstream(tu) << "#include \"" << unit << "\"\n";
+  } else if (!fs::exists(tu)) {
+    tu = real / unit;
+  }
+  return run_command(std::string(PFACT_TAXONOMY_CXX) +
+                     " -fsyntax-only -fdiagnostics-color=never -I" +
+                     (tree / "src").string() + " -I" + real.string() + " " +
+                     tu.string());
+}
+
+// The gap fails the build on `table`'s own static_assert.
+void expect_static_assert(const RunResult& res, const std::string& table) {
+  EXPECT_EQ(res.exit_code, 1) << res.output;
+  EXPECT_NE(res.output.find("static assertion failed"), std::string::npos)
+      << res.output;
+  EXPECT_NE(res.output.find("is_row_table(" + table + ")"), std::string::npos)
+      << "expected " << table << "'s static_assert in:\n" << res.output;
+}
+
+// The gap fails the build on a row of `file` that is short of a column.
+void expect_missing_column(const RunResult& res, const std::string& file) {
+  EXPECT_EQ(res.exit_code, 1) << res.output;
+  EXPECT_NE(res.output.find("missing-field-initializers"), std::string::npos)
+      << res.output;
+  EXPECT_NE(res.output.find(file + ":"), std::string::npos)
+      << "expected the error in " << file << ":\n" << res.output;
+}
+
+// Counter::kRowUpdates has no name: its row is gone.
+TEST(PfactLint, UnnamedCounterFailsPL001) {
+  expect_static_assert(
+      compile_with_gap("obs/counters.cpp", {drop_row("Counter::kRowUpdates")},
+                       "obs/counters.cpp"),
+      "kCounterRows");
+}
+
+// Two counters share one JSON key: kRowUpdates is named "elim-steps" too.
+TEST(PfactLint, NameCollisionFailsPL002) {
+  expect_static_assert(
+      compile_with_gap("obs/counters.cpp",
+                       {replace_after("{Counter::kRowUpdates,",
+                                      "\"row-updates\"", "\"elim-steps\"")},
+                       "obs/counters.cpp"),
+      "kCounterRows");
+}
+
+// Histogram::kSpread joins the enum, but no row names it.
+TEST(PfactLint, UnnamedHistogramFailsPL003) {
+  expect_static_assert(
+      compile_with_gap("obs/counters.h", {add_enumerator("Histogram", "kSpread")},
+                       "obs/counters.cpp"),
+      "kHistogramRows");
+}
+
+// FaultClass::kRoundingFlip is named but left out of the sweep the
+// robustness suite injects.
+TEST(PfactLint, UnhandledFaultClassFailsPL004) {
+  expect_static_assert(
+      compile_with_gap(
+          "robustness/fault_injector.h",
+          {reid_row("FaultClass::kRoundingFlip", "FaultClass::kPivotTie")},
+          "robustness/fault_injector.h"),
+      "kFaultClassRows");
+}
+
+// Diagnostic::kMystery is named, but the retry loop has no FailureKind for
+// it.
+TEST(PfactLint, UnclassifiedDiagnosticFailsPL005) {
+  expect_missing_column(
+      compile_with_gap("robustness/diagnostics.h",
+                       {add_enumerator("Diagnostic", "kMystery"),
+                        append_row("kDiagnosticRows", "{kMystery, \"mystery\"}")},
+                       "robustness/diagnostics.h"),
+      "robustness/diagnostics.h");
+}
+
+// WorkerExit::kMystery is named, but has no Diagnostic.
+TEST(PfactLint, UnmappedWorkerExitFailsPL009) {
+  expect_missing_column(
+      compile_with_gap(
+          "serve/warm_pool.h",
+          {add_enumerator("WorkerExit", "kMystery"),
+           append_row("kWorkerExitRows",
+                      "{WorkerExit::kMystery, \"mystery\"}")},
+          "serve/warm_pool.h"),
+      "serve/warm_pool.h");
+}
+
+// all_worker_exits() leaves out kForkFailure.
+TEST(PfactLint, UnsweptWorkerExitFailsPL009) {
+  expect_static_assert(
+      compile_with_gap(
+          "serve/warm_pool.h",
+          {reid_row("WorkerExit::kForkFailure", "WorkerExit::kProtocolError")},
+          "serve/warm_pool.h"),
+      "kWorkerExitRows");
+}
+
+// Admission::kShedShutdown is named and swept, but has no Diagnostic.
+TEST(PfactLint, UnmappedAdmissionFailsPL010) {
+  expect_missing_column(
+      compile_with_gap("serve/queue.h",
+                       {drop_last_column("Admission::kShedShutdown")},
+                       "serve/queue.h"),
+      "serve/queue.h");
+}
+
+// all_cache_probes() leaves out kEnvelopeRejected.
+TEST(PfactLint, UnsweptCacheProbeFailsPL010) {
+  expect_static_assert(
+      compile_with_gap("serve/result_cache.h",
+                       {reid_row("CacheProbe::kEnvelopeRejected",
+                                 "CacheProbe::kCorruptEntry")},
+                       "serve/result_cache.h"),
+      "kCacheProbeRows");
+}
+
+// FrontendStatus::kDraining is named, diagnosed and swept, but has no
+// counter.
+TEST(PfactLint, UncountedFrontendStatusFailsPL012) {
+  expect_missing_column(
+      compile_with_gap("serve/frontend.h",
+                       {drop_last_column("FrontendStatus::kDraining")},
+                       "serve/frontend.h"),
+      "serve/frontend.h");
+}
+
+// all_frontend_statuses() leaves out kConnReset.
+TEST(PfactLint, UnsweptFrontendStatusFailsPL012) {
+  expect_static_assert(
+      compile_with_gap("serve/frontend.h",
+                       {reid_row("FrontendStatus::kConnReset",
+                                 "FrontendStatus::kDeadline")},
+                       "serve/frontend.h"),
+      "kFrontendStatusRows");
+}
+
+// all_shard_statuses() leaves out kUnresponsive.
+TEST(PfactLint, UnsweptShardStatusFailsPL019) {
+  expect_static_assert(
+      compile_with_gap(
+          "serve/shard.h",
+          {reid_row("ShardStatus::kUnresponsive", "ShardStatus::kServing")},
+          "serve/shard.h"),
+      "kShardStatusRows");
+}
+
+// RouterStatus::kBrownoutShed is named, diagnosed and swept, but has no
+// counter.
+TEST(PfactLint, UncountedRouterStatusFailsPL019) {
+  expect_missing_column(
+      compile_with_gap("serve/router.h",
+                       {drop_last_column("RouterStatus::kBrownoutShed")},
+                       "serve/router.h"),
+      "serve/router.h");
 }
 
 }  // namespace

@@ -166,7 +166,7 @@ TEST(LintCli, ListRulesEnumeratesTheCatalogue) {
     EXPECT_TRUE(std::regex_match(line, shape)) << "bad line: " << line;
     ++rules;
   }
-  EXPECT_GE(rules, 19u) << res.output;
+  EXPECT_GE(rules, 10u) << res.output;
 }
 
 // The registry meta-test. For every rule ID the binary advertises:
@@ -185,7 +185,7 @@ TEST(LintCli, EveryAdvertisedRuleHasAFixtureAndAManifestEntry) {
       advertised[id] = slug;
     }
   }
-  ASSERT_GE(advertised.size(), 19u) << listing.output;
+  ASSERT_GE(advertised.size(), 10u) << listing.output;
 
   std::set<std::string> produced;
   const std::regex finding_id(R"(\b(PL\d{3})\b)");

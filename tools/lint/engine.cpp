@@ -39,19 +39,6 @@ const SourceFile* Context::file(const std::string& relpath) const {
 
 const std::vector<RuleInfo>& rule_catalogue() {
   static const std::vector<RuleInfo> kRules = {
-      {"PL001", "counter-unnamed",
-       "Counter enumerator with no counter_name() case returning a string"},
-      {"PL002", "obs-name-collision",
-       "two Counter/Histogram enumerators share a name, or a name is not "
-       "kebab-case"},
-      {"PL003", "histogram-unnamed",
-       "Histogram enumerator with no histogram_name() case"},
-      {"PL004", "fault-class-unhandled",
-       "FaultClass enumerator missing from fault_class_name() or the "
-       "all_fault_classes() sweep"},
-      {"PL005", "diagnostic-unclassified",
-       "Diagnostic enumerator missing from classify_diagnostic() or "
-       "diagnostic_name()"},
       {"PL006", "checkpoint-tag-duplicate",
        "two field_tag<T>() specializations return the same tag string"},
       {"PL007", "checkpoint-version-stale",
@@ -60,18 +47,9 @@ const std::vector<RuleInfo>& rule_catalogue() {
       {"PL008", "checkpoint-manifest-outdated",
        "the committed manifest does not match the current (version, tag "
        "set); regenerate with --update-manifest"},
-      {"PL009", "worker-exit-unmapped",
-       "WorkerExit enumerator not named, not diagnosed, or missing from the "
-       "all_worker_exits() sweep"},
-      {"PL010", "serve-rejection-unmapped",
-       "Admission/CacheProbe enumerator not named, not diagnosed, or missing "
-       "from its sweep list"},
       {"PL011", "sparse-tag-unregistered",
        "sparse_field_tag<T>() without a dense counterpart, off the sparse- "
        "naming law, or unswept"},
-      {"PL012", "frontend-status-unmapped",
-       "FrontendStatus enumerator missing a name, Diagnostic, obs counter, "
-       "or sweep entry"},
       {"PL013", "codec-asymmetry",
        "an encode_X/decode_X pair's ByteWriter put_* and ByteReader "
        "get_*/take_* field sequences disagree in width or order"},
@@ -91,9 +69,6 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "a sleep in src/serve/ whose duration never flowed through "
        "RetryPolicy::backoff — hand-rolled pacing outside the seeded retry "
        "schedule"},
-      {"PL019", "shard-status-unmapped",
-       "a ShardStatus or RouterStatus enumerator missing a kebab name, "
-       "Diagnostic mapping, obs counter, or sweep-list entry"},
   };
   return kRules;
 }
@@ -153,12 +128,6 @@ bool write_manifest(const std::string& path, const CheckpointSchema& s) {
 
 void run_all_rules(Context& ctx, const std::string& manifest_path) {
   const CheckpointSchema schema = parse_checkpoint_schema(ctx);
-  check_obs_names(ctx);
-  check_fault_classes(ctx);
-  check_diagnostics(ctx);
-  check_worker_exits(ctx);
-  check_serve_rejections(ctx);
-  check_frontend_statuses(ctx);
   check_tag_uniqueness(ctx, schema);
   check_sparse_tags(ctx);
   check_manifest(ctx, schema, manifest_path);
@@ -168,7 +137,6 @@ void run_all_rules(Context& ctx, const std::string& manifest_path) {
   check_layering(ctx);
   check_counter_liveness(ctx);
   check_adhoc_backoff(ctx);
-  check_shard_statuses(ctx);
 }
 
 std::string json_escape(const std::string& s) {

@@ -18,8 +18,8 @@
 namespace pfact_lint {
 
 struct Finding {
-  std::string rule;     // "PL001"
-  std::string slug;     // "counter-unnamed"
+  std::string rule;     // "PL017"
+  std::string slug;     // "counter-dead"
   std::string message;  // what and why
   std::string file;     // repo-relative location, empty for tree-wide rules
   int line = 0;         // 1-based; 0 when no precise anchor exists
@@ -39,9 +39,8 @@ struct Context {
                  const std::string& message);
 
   // The scrubbed text of a tracked source file. A miss prints a cannot-read
-  // diagnostic and sets io_error (exit 2), exactly like the pre-engine
-  // linter's per-file reads — the taxonomy rules treat their anchor files
-  // as required.
+  // diagnostic and sets io_error (exit 2): the checkpoint rules treat
+  // src/robustness/checkpoint.h as required.
   const std::string& scrub(const std::string& relpath);
 
   // The tokenized file, or nullptr. No error on a miss: the structural

@@ -5,15 +5,6 @@
 
 namespace pfact_lint {
 
-// rules_taxonomy.cpp — the closed-taxonomy consistency rules.
-void check_obs_names(Context& ctx);          // PL001 PL002 PL003
-void check_fault_classes(Context& ctx);      // PL004
-void check_diagnostics(Context& ctx);        // PL005
-void check_worker_exits(Context& ctx);       // PL009
-void check_serve_rejections(Context& ctx);   // PL010
-void check_frontend_statuses(Context& ctx);  // PL012
-void check_shard_statuses(Context& ctx);     // PL019
-
 // rules_checkpoint.cpp — the PFCK schema ratchet.
 void check_tag_uniqueness(Context& ctx, const CheckpointSchema& s);  // PL006
 void check_sparse_tags(Context& ctx);                                // PL011

@@ -53,49 +53,4 @@ std::string function_body(const std::string& src, const std::string& name) {
   return std::string();
 }
 
-std::map<std::string, std::string> parse_switch_returns(
-    const std::string& src, const std::string& enum_name) {
-  std::map<std::string, std::string> out;
-  const std::regex label("case\\s+" + enum_name + "::(k[A-Za-z0-9_]+)\\s*:");
-  const std::regex ret("return\\s+([^;]+);");
-  for (auto it = std::sregex_iterator(src.begin(), src.end(), label);
-       it != std::sregex_iterator(); ++it) {
-    const std::string id = (*it)[1].str();
-    const std::size_t from =
-        static_cast<std::size_t>(it->position()) + it->length();
-    const std::size_t brk = src.find("break;", from);
-    std::smatch r;
-    const std::string rest = src.substr(from);
-    if (std::regex_search(rest, r, ret)) {
-      const std::size_t rpos = from + static_cast<std::size_t>(r.position());
-      if (brk != std::string::npos && brk < rpos) {
-        out[id] = "";
-      } else {
-        out[id] = r[1].str();
-      }
-    } else {
-      out[id] = "";
-    }
-  }
-  return out;
-}
-
-std::optional<std::string> quoted(const std::string& expr) {
-  const std::regex q("^\\s*\"([^\"]*)\"\\s*$");
-  std::smatch m;
-  if (std::regex_match(expr, m, q)) return m[1].str();
-  return std::nullopt;
-}
-
-bool is_kebab_case(const std::string& s) {
-  if (s.empty() || s.front() == '-' || s.back() == '-') return false;
-  for (char c : s) {
-    if (!(std::islower(static_cast<unsigned char>(c)) ||
-          std::isdigit(static_cast<unsigned char>(c)) || c == '-')) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace pfact_lint

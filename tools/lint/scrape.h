@@ -1,15 +1,12 @@
 #pragma once
-// House-style source scrapers — the line/regex layer under rules PL001–PL012.
+// House-style source scrapers — the line/regex layer under PL011 and PL017.
 //
 // These parse the repo's own house style (clang-format'd, one enumerator per
-// line, switch cases of the form `case Enum::kX: ... return "...";`), not
-// arbitrary C++. That trade is deliberate: the checked files are part of
-// this repo, and the fixtures pin the accepted shapes. Each function takes
-// SCRUBBED text (comments blanked to spaces — SourceFile::scrub), so a
+// line), not arbitrary C++. That trade is deliberate: the checked files are
+// part of this repo, and the fixtures pin the accepted shapes. Each function
+// takes SCRUBBED text (comments blanked to spaces — SourceFile::scrub), so a
 // function or enum name mentioned in prose can never hijack an anchor.
 
-#include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,19 +25,5 @@ std::vector<std::string> parse_enum(const std::string& src,
 // checked files never contain braces, so plain counting is sufficient (the
 // fixtures pin this).
 std::string function_body(const std::string& src, const std::string& name);
-
-// `case <enum>::<id>:` sites, each mapped to the token that decides it: the
-// first `return <something>;` at or after the case label. Fall-through case
-// labels share their group's return, which is exactly the classifier's
-// shape. Returns enumerator -> returned expression text (trimmed); a
-// `break;` before the return records the empty string (the sentinel's
-// escape).
-std::map<std::string, std::string> parse_switch_returns(
-    const std::string& src, const std::string& enum_name);
-
-// The quoted string inside a returned expression, if it is one.
-std::optional<std::string> quoted(const std::string& expr);
-
-bool is_kebab_case(const std::string& s);
 
 }  // namespace pfact_lint

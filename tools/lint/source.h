@@ -13,11 +13,10 @@
 //   * tokens  — the token stream, for structural rules (PL013–PL017)
 //   * scrub   — the raw text with comments blanked to spaces (newlines and
 //               string literals preserved), for the line-oriented scrapers
-//               the PL001–PL012 port runs (see scrape.h)
+//               of the checkpoint and counter rules (see scrape.h)
 //
-// Nothing here links against the pfact library: the linter must keep
-// working when the library itself fails to compile, which is exactly when a
-// taxonomy drifted.
+// Nothing here links against the pfact library: the linter reads the tree
+// as text, so it runs on fixture trees that could never compile.
 
 #include <cstddef>
 #include <map>

@@ -13,7 +13,7 @@
 // Exit codes (aligned with pfact_soak): 0 clean, 1 findings, 2 usage or
 // I/O error. Text findings print one per line:
 //
-//   pfact_lint: PL004 fault-class-unhandled: <message>            (tree-wide)
+//   pfact_lint: PL008 checkpoint-manifest-outdated: <message>     (tree-wide)
 //   pfact_lint: src/a/b.cpp:17: PL014 blocking-call-undeadlined: <message>
 //
 // The located form matches the GitHub problem matcher committed under

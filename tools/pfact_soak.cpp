@@ -544,6 +544,17 @@ int run_serve_campaigns(const Options& opt, std::ofstream& log) {
     return true;
   };
 
+  // A dispatcher wedge: attempt 1 spins until the 200 ms watchdog kills
+  // it, attempt 2 certifies (which also feeds kWatchdog into the coverage
+  // set). The overload and deadline shapes pin both dispatchers with it.
+  serve::JobOptions wedge;
+  wedge.kill_for_attempt = [](std::size_t attempt) {
+    serve::KillPlan kill;
+    if (attempt == 1) kill.mode = serve::KillPlan::Mode::kSpin;
+    return kill;
+  };
+  wedge.watchdog = std::chrono::milliseconds{200};
+
   for (std::size_t campaign = 0; campaign < opt.campaigns && ok; ++campaign) {
     if (injected_violation(opt, campaign, log, stats)) {
       ok = false;
@@ -591,15 +602,17 @@ int run_serve_campaigns(const Options& opt, std::ofstream& log) {
                     campaign, ks.name, resp.report.attempts.size());
       }
     } else if (shape == std::size(kKillShapes)) {
-      // Overload burst: pin both dispatchers on fresh (uncached) jobs, then
+      // Overload burst: pin both dispatchers on watchdog-bounded spins, then
       // pour in more submissions than the queue bound can hold from
-      // concurrent client threads while nothing drains. The overflow MUST
-      // be refused as classified kShedQueueFull — never queued unboundedly,
-      // never silently dropped — and every admitted job must still certify.
+      // concurrent client threads while nothing drains. (A plain fresh job
+      // is no pin: it can certify before the burst lands.) The overflow
+      // MUST be refused as classified kShedQueueFull — never queued
+      // unboundedly, never silently dropped — and every admitted job must
+      // still certify.
       const ReductionTask pin_a = unique_chain_task(unique_id++);
       const ReductionTask pin_b = unique_chain_task(unique_id++);
-      auto pa = service.submit(pin_a);
-      auto pb = service.submit(pin_b);
+      auto pa = service.submit(pin_a, wedge);
+      auto pb = service.submit(pin_b, wedge);
 
       constexpr std::size_t kBurst = 10;
       std::vector<ReductionTask> burst_tasks;
@@ -663,19 +676,11 @@ int run_serve_campaigns(const Options& opt, std::ofstream& log) {
         }
       }
     } else {
-      // Deadline expiry: wedge both dispatchers on watchdog-bounded spins,
-      // then queue a job whose deadline is already hopeless. FIFO order
-      // guarantees the wedges are picked up first, so by the time a
-      // dispatcher frees up (>= 200ms later) the 1ms deadline has long
-      // passed: the job must be shed as kShedDeadline without ever
-      // touching a worker.
-      serve::JobOptions wedge;
-      wedge.kill_for_attempt = [](std::size_t attempt) {
-        serve::KillPlan kill;
-        if (attempt == 1) kill.mode = serve::KillPlan::Mode::kSpin;
-        return kill;
-      };
-      wedge.watchdog = std::chrono::milliseconds{200};
+      // Deadline expiry: wedge both dispatchers, then queue a job whose
+      // deadline is already hopeless. FIFO order guarantees the wedges are
+      // picked up first, so by the time a dispatcher frees up (>= 200ms
+      // later) the 1ms deadline has long passed: the job must be shed as
+      // kShedDeadline without ever touching a worker.
       const ReductionTask wedge_a = unique_chain_task(unique_id++);
       const ReductionTask wedge_b = unique_chain_task(unique_id++);
       auto wa = service.submit(wedge_a, wedge);
@@ -698,8 +703,6 @@ int run_serve_campaigns(const Options& opt, std::ofstream& log) {
                  lr.report.to_string());
         break;
       }
-      // The wedges themselves recover: watchdog kills attempt 1, attempt 2
-      // certifies — which also feeds kWatchdog into the coverage set.
       if (!check_served(campaign, wedge_a, wa->wait())) break;
       if (!check_served(campaign, wedge_b, wb->wait())) break;
       observed.insert(serve::WorkerExit::kWatchdog);
@@ -1283,6 +1286,9 @@ int run_shard_campaigns(const Options& opt, std::ofstream& log) {
           }
           ++downs_survived;
           break;
+        case serve::RouterStatus::kCount_:
+          fail(campaign, "UNCLASSIFIED ENDING", "the sentinel");
+          return false;
       }
       // A refusal is the router telling us to back off; oblige briefly so
       // the supervision loop gets cycles to heal the fleet.
