@@ -132,6 +132,7 @@ inline void count_pivot_event(const PivotEvent& e) {
       PFACT_COUNT(kPivotSkips);
       break;
     case PivotAction::kFail:
+    case PivotAction::kCount_:
       break;
   }
 }

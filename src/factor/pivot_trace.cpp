@@ -60,6 +60,8 @@ std::string PivotTrace::to_string() const {
       case PivotAction::kFail:
         os << "FAIL (zero pivot, no pivoting)";
         break;
+      case PivotAction::kCount_:
+        break;
     }
     os << '\n';
   }

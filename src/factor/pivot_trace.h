@@ -21,6 +21,7 @@ enum class PivotAction {
   kShift,  // rows k..pivot_pos circularly shifted (GEMS)
   kSkip,   // column k had no nonzero at or below the diagonal
   kFail,   // plain GE met a zero pivot and stopped
+  kCount_,  // sentinel: number of actions
 };
 
 struct PivotEvent {

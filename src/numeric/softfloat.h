@@ -39,6 +39,7 @@ enum class SoftFloatRounding {
   kNearestEven,   // IEEE round-to-nearest, ties to even (default)
   kTowardZero,    // truncate all dropped bits
   kAwayFromZero,  // round up whenever any dropped bit is set
+  kCount_,        // sentinel: number of modes
 };
 
 inline SoftFloatRounding& softfloat_rounding() {
@@ -221,6 +222,8 @@ class SoftFloat {
         case SoftFloatRounding::kAwayFromZero:
           PFACT_COUNT(kSoftFloatRoundAwayFromZero);
           increment = round || low_sticky;
+          break;
+        case SoftFloatRounding::kCount_:
           break;
       }
       if (increment) {

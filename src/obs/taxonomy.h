@@ -39,12 +39,14 @@ constexpr bool is_kebab_name(const char* s) {
              std::string_view::npos;
 }
 
-// rows[i].id == i, and every name kebab-case and unique within the table.
+// rows[i].id == i, and every name valid (kebab-case unless the table names
+// another rule) and unique within the table.
 template <class Row, std::size_t N>
-constexpr bool is_row_table(const std::array<Row, N>& rows) {
+constexpr bool is_row_table(const std::array<Row, N>& rows,
+                            bool (*valid_name)(const char*) = is_kebab_name) {
   for (std::size_t i = 0; i < N; ++i) {
     if (static_cast<std::size_t>(rows[i].id) != i) return false;
-    if (!is_kebab_name(rows[i].name)) return false;
+    if (!valid_name(rows[i].name)) return false;
     for (std::size_t j = 0; j < i; ++j) {
       if (std::string_view(rows[i].name) == rows[j].name) return false;
     }

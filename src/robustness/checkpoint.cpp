@@ -179,20 +179,17 @@ std::uint32_t crc32(const void* data, std::size_t len) {
 
 CheckpointStatus validate_checkpoint_envelope(std::string_view blob) {
   if (blob.size() < kCheckpointHeaderBytes) return CheckpointStatus::kTruncated;
-  detail::ByteReader header(blob.substr(0, kCheckpointHeaderBytes));
-  const std::uint32_t magic = header.get_u32();
-  const std::uint32_t version = header.get_u32();
-  const std::uint64_t length = header.get_u64();
-  const std::uint32_t crc = header.get_u32();
-  if (magic != kCheckpointMagic) return CheckpointStatus::kBadMagic;
-  if (version != kCheckpointVersion) return CheckpointStatus::kBadVersion;
+  CheckpointHeader h;
+  detail::decode_fields(blob.substr(0, kCheckpointHeaderBytes), h);
+  if (h.magic != kCheckpointMagic) return CheckpointStatus::kBadMagic;
+  if (h.version != kCheckpointVersion) return CheckpointStatus::kBadVersion;
   // Written so that no declared length, however large, can wrap the sum.
-  if (length > blob.size() - kCheckpointHeaderBytes)
+  if (h.length > blob.size() - kCheckpointHeaderBytes)
     return CheckpointStatus::kTruncated;
-  const std::string_view body = blob.substr(kCheckpointHeaderBytes, length);
-  if (crc32(body.data(), body.size()) != crc)
+  const std::string_view body = blob.substr(kCheckpointHeaderBytes, h.length);
+  if (crc32(body.data(), body.size()) != h.crc)
     return CheckpointStatus::kCrcMismatch;
-  if (length != blob.size() - kCheckpointHeaderBytes)
+  if (h.length != blob.size() - kCheckpointHeaderBytes)
     return CheckpointStatus::kMalformed;  // trailing garbage after the payload
   return CheckpointStatus::kOk;
 }

@@ -10,19 +10,17 @@
 // double via sign/exponent/significand, Rational via exact decimal
 // strings), never through a lossy decimal round-trip.
 //
-// Blob layout (all integers little-endian):
-//
-//   magic   u32   "PFCK" (0x4B434650)
-//   version u32   kCheckpointVersion
-//   length  u64   payload byte count
-//   crc     u32   CRC32 (poly 0xEDB88320) of the payload bytes
-//   payload ...   FactorCheckpoint fields (see encode_checkpoint)
+// A blob is a CheckpointHeader (magic "PFCK", version, payload length and
+// CRC32) and the StorageCheckpoint payload, each one field list
+// (robustness/fields.h).
 //
 // A torn write (truncated blob), a bit flip anywhere (header or payload),
 // or a version skew is always *rejected* with a specific CheckpointStatus
 // — a checkpoint that does not verify is never resumed. Detection of torn
 // blobs is exercised by FaultClass::kTornWrite in the fault injector.
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -32,7 +30,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "factor/pivot_trace.h"
@@ -43,7 +43,9 @@
 #include "numeric/rational.h"
 #include "numeric/softfloat.h"
 #include "obs/counters.h"
+#include "obs/taxonomy.h"
 #include "parallel/annotations.h"
+#include "robustness/fields.h"
 
 namespace pfact::robustness {
 
@@ -64,173 +66,117 @@ enum class CheckpointStatus {
   kCrcMismatch,  // payload bytes do not hash to the stored CRC
   kMalformed,    // CRC passed but the payload does not parse, or the
                  // field/algorithm/shape does not match the resuming task
+  kCount_,       // sentinel: number of statuses
 };
+
+inline constexpr obs::RowTable<obs::NameRow<CheckpointStatus>>
+    kCheckpointStatusRows = {{
+        {CheckpointStatus::kOk, "ok"},
+        {CheckpointStatus::kTruncated, "truncated"},
+        {CheckpointStatus::kBadMagic, "bad-magic"},
+        {CheckpointStatus::kBadVersion, "bad-version"},
+        {CheckpointStatus::kCrcMismatch, "crc-mismatch"},
+        {CheckpointStatus::kMalformed, "malformed"},
+    }};
+static_assert(obs::is_row_table(kCheckpointStatusRows));
 
 inline const char* checkpoint_status_name(CheckpointStatus s) {
-  switch (s) {
-    case CheckpointStatus::kOk: return "ok";
-    case CheckpointStatus::kTruncated: return "truncated";
-    case CheckpointStatus::kBadMagic: return "bad-magic";
-    case CheckpointStatus::kBadVersion: return "bad-version";
-    case CheckpointStatus::kCrcMismatch: return "crc-mismatch";
-    case CheckpointStatus::kMalformed: return "malformed";
-  }
-  return "?";
+  return obs::name_of(kCheckpointStatusRows, s);
 }
 
-namespace detail {
+// --- field tags ----------------------------------------------------------
+// A blob names the scalar field and storage backend it was taken in by a
+// tag; resume refuses a blob whose tag is not its own instantiation's, so
+// a sparse blob never decodes into a dense resume, nor one field into
+// another (kMalformed).
 
-class ByteWriter {
- public:
-  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
-  void put_u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void put_u32(std::uint32_t v) {
-    char b[4];
-    for (int i = 0; i < 4; ++i) b[i] = static_cast<char>(v >> (8 * i));
-    buf_.append(b, 4);
-  }
-  void put_u64(std::uint64_t v) {
-    char b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<char>(v >> (8 * i));
-    buf_.append(b, 8);
-  }
-  void put_i32(std::int32_t v) { put_u32(static_cast<std::uint32_t>(v)); }
-  void put_bytes(const void* p, std::size_t n) {
-    buf_.append(static_cast<const char*>(p), n);
-  }
-  // Grows the buffer by `n` bytes and returns where they start, for a
-  // section whose exact size is known before it is filled.
-  char* extend(std::size_t n) {
-    const std::size_t at = buf_.size();
-    buf_.resize(at + n);
-    return buf_.data() + at;
-  }
-  // Overwrites bytes previously written at `pos` (little-endian), for
-  // headers whose length/CRC are only known once the payload is complete.
-  void patch_u32(std::size_t pos, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      buf_[pos + i] = static_cast<char>(v >> (8 * i));
-  }
-  void patch_u64(std::size_t pos, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      buf_[pos + i] = static_cast<char>(v >> (8 * i));
-  }
-  void put_string(std::string_view s) {
-    put_u64(s.size());
-    buf_.append(s.data(), s.size());
-  }
-  const std::string& bytes() const { return buf_; }
-  std::string take() { return std::move(buf_); }
+// The scalar fields a checkpoint can be taken in, one per kFieldTagRows row.
+using CheckpointFields = std::tuple<double, long double, numeric::Rational,
+                                    numeric::Float53, numeric::Float24>;
 
- private:
-  std::string buf_;
+struct FieldTagRow {
+  const char* dense;   // a Matrix<T> checkpoint
+  const char* sparse;  // a sparse::SparseMatrix<T> one: "sparse-" + dense
 };
 
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
+inline constexpr std::array<FieldTagRow, std::tuple_size_v<CheckpointFields>>
+    kFieldTagRows = {{
+        {"double", "sparse-double"},
+        {"long-double", "sparse-long-double"},
+        {"rational", "sparse-rational"},
+        {"softfloat53", "sparse-softfloat53"},
+        {"softfloat24", "sparse-softfloat24"},
+    }};
 
-  bool ok() const { return ok_; }
-  bool exhausted() const { return pos_ == data_.size(); }
-
-  std::uint8_t get_u8() {
-    if (pos_ + 1 > data_.size()) return fail<std::uint8_t>();
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint32_t get_u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{get_u8()} << (8 * i);
-    return v;
-  }
-  std::uint64_t get_u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{get_u8()} << (8 * i);
-    return v;
-  }
-  std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
-  bool get_bytes(void* dst, std::size_t n) {
-    if (!ok_ || n > data_.size() - pos_) {
-      fail<std::uint8_t>();
+// Every dense tag kebab-case, every sparse tag its dense tag with the
+// "sparse-" prefix, and all of them distinct. A field without a row leaves
+// a null one, which fails too.
+template <std::size_t N>
+constexpr bool is_tag_table(const std::array<FieldTagRow, N>& rows) {
+  for (std::size_t i = 0; i < N; ++i) {
+    if (!obs::is_kebab_name(rows[i].dense) || rows[i].sparse == nullptr ||
+        std::string_view(rows[i].sparse).substr(0, 7) != "sparse-" ||
+        std::string_view(rows[i].sparse).substr(7) != rows[i].dense)
       return false;
-    }
-    std::memcpy(dst, data_.data() + pos_, n);
-    pos_ += n;
-    return true;
+    for (std::size_t j = 0; j < i; ++j)
+      for (std::string_view a : {rows[i].dense, rows[i].sparse})
+        if (a == rows[j].dense || a == rows[j].sparse) return false;
   }
-  std::string get_string() {
-    std::uint64_t n = get_u64();
-    if (!ok_ || n > data_.size() - pos_) return fail<std::string>();
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
+  return true;
+}
+static_assert(is_tag_table(kFieldTagRows));
 
- private:
-  template <class T>
-  T fail() {
-    ok_ = false;
-    pos_ = data_.size();
-    return T{};
-  }
+// FNV-1a 64 over every tag in row order, each with its terminating NUL.
+template <std::size_t N>
+constexpr std::uint64_t tag_fingerprint(
+    const std::array<FieldTagRow, N>& rows) {
+  std::uint64_t h = 0xcbf29ce484222325;
+  for (const FieldTagRow& row : rows)
+    for (std::string_view tag : {row.dense, row.sparse})
+      for (std::size_t i = 0; i <= tag.size(); ++i)
+        h = (h ^ static_cast<unsigned char>(i < tag.size() ? tag[i] : 0)) *
+            0x100000001b3;
+  return h;
+}
 
-  std::string_view data_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
+// The version ratchet: one row per format version since 2, with the
+// fingerprint of the tag table it shipped. A changed table fails the
+// static_assert below until kCheckpointVersion is bumped and its row is
+// added; a shipped row never changes.
+struct SchemaRow {
+  std::uint32_t version;
+  std::uint64_t tag_fingerprint;
 };
 
-}  // namespace detail
+inline constexpr SchemaRow kCheckpointSchemaRows[] = {
+    {2, 0xf156c7d55a26e568},
+};
 
-// Stable tag naming the scalar field a checkpoint was taken in; resume
-// refuses a blob whose tag differs from the resuming instantiation.
+constexpr bool schema_row_matches(std::uint32_t version,
+                                  std::uint64_t fingerprint) {
+  for (const SchemaRow& row : kCheckpointSchemaRows)
+    if (row.version == version) return row.tag_fingerprint == fingerprint;
+  return false;
+}
+static_assert(schema_row_matches(kCheckpointVersion,
+                                 tag_fingerprint(kFieldTagRows)),
+              "the tag table does not match kCheckpointSchemaRows' row for "
+              "kCheckpointVersion: bump the version and add its row");
+
+// T's row of kFieldTagRows.
 template <class T>
-const char* field_tag() = delete;
-template <>
-inline const char* field_tag<double>() { return "double"; }
-template <>
-inline const char* field_tag<long double>() { return "long-double"; }
-template <>
-inline const char* field_tag<numeric::Rational>() { return "rational"; }
-template <>
-inline const char* field_tag<numeric::Float53>() { return "softfloat53"; }
-template <>
-inline const char* field_tag<numeric::Float24>() { return "softfloat24"; }
-
-// Tag for the sparse-CSR serialization of the same scalar field. Every
-// sparse tag is its dense field's tag with the "sparse-" prefix — pfact_lint
-// PL011 enforces both that naming law and the sweep below, and the tags are
-// part of the schema ratchet (tools/pfact_lint_manifest.txt) like the dense
-// ones. A sparse blob never decodes into a dense resume (or vice versa):
-// the tag mismatch is kMalformed, same as a scalar-field mismatch.
+constexpr const FieldTagRow& field_tags() {
+  constexpr std::size_t row = []<class... F>(std::tuple<F...>*) {
+    const bool is_t[] = {std::is_same_v<T, F>...};
+    return std::size_t(std::find(is_t, is_t + sizeof...(F), true) - is_t);
+  }(static_cast<CheckpointFields*>(nullptr));
+  static_assert(row < kFieldTagRows.size(), "T has no row in kFieldTagRows");
+  return kFieldTagRows[row];
+}
 template <class T>
-const char* sparse_field_tag() = delete;
-template <>
-inline const char* sparse_field_tag<double>() { return "sparse-double"; }
-template <>
-inline const char* sparse_field_tag<long double>() {
-  return "sparse-long-double";
-}
-template <>
-inline const char* sparse_field_tag<numeric::Rational>() {
-  return "sparse-rational";
-}
-template <>
-inline const char* sparse_field_tag<numeric::Float53>() {
-  return "sparse-softfloat53";
-}
-template <>
-inline const char* sparse_field_tag<numeric::Float24>() {
-  return "sparse-softfloat24";
-}
-
-// Every sparse_field_tag specialization, for sweep-style codec tests (the
-// corruption matrix runs over each) — PL011 fails the build when a
-// specialization is missing from this list.
-inline std::vector<const char*> all_sparse_field_tags() {
-  return {sparse_field_tag<double>(), sparse_field_tag<long double>(),
-          sparse_field_tag<numeric::Rational>(),
-          sparse_field_tag<numeric::Float53>(),
-          sparse_field_tag<numeric::Float24>()};
-}
+constexpr const char* field_tag() { return field_tags<T>().dense; }
+template <class T>
+constexpr const char* sparse_field_tag() { return field_tags<T>().sparse; }
 
 namespace detail {
 
@@ -241,16 +187,8 @@ struct ScalarCodec;
 
 template <>
 struct ScalarCodec<double> {
-  static void encode(ByteWriter& w, const double& v) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    w.put_u64(bits);
-  }
-  static void decode(ByteReader& r, double& v) {
-    std::uint64_t bits = r.get_u64();
-    std::memcpy(&v, &bits, sizeof(v));
-  }
+  static void encode(ByteWriter& w, const double& v) { w.f64(v); }
+  static void decode(ByteReader& r, double& v) { r.f64(v); }
 };
 
 // long double: sign / binary exponent / top-64-bit significand, which is
@@ -265,12 +203,13 @@ struct ScalarCodec<long double> {
     long double m = std::frexp(v < 0.0L ? -v : v, &exp);  // m in [0.5, 1)
     auto mant = static_cast<std::uint64_t>(std::ldexp(m, 64));
     w.put_u8(neg);
-    w.put_i32(exp);
+    w.i32(exp);
     w.put_u64(mant);
   }
   static void decode(ByteReader& r, long double& v) {
     std::uint8_t neg = r.get_u8();
-    std::int32_t exp = r.get_i32();
+    int exp = 0;
+    r.i32(exp);
     std::uint64_t mant = r.get_u64();
     v = std::ldexp(static_cast<long double>(mant), exp - 64);
     if (neg != 0) v = -v;
@@ -283,11 +222,11 @@ struct ScalarCodec<numeric::SoftFloat<P, Emin, Emax>> {
   // value in range is a representable double).
   static_assert(P <= 53, "SoftFloat checkpoint codec requires P <= 53");
   static void encode(ByteWriter& w, const numeric::SoftFloat<P, Emin, Emax>& v) {
-    ScalarCodec<double>::encode(w, v.to_double());
+    w.f64(v.to_double());
   }
   static void decode(ByteReader& r, numeric::SoftFloat<P, Emin, Emax>& v) {
     double d = 0.0;
-    ScalarCodec<double>::decode(r, d);
+    r.f64(d);
     v = numeric::SoftFloat<P, Emin, Emax>::from_double(d);
   }
 };
@@ -299,19 +238,21 @@ struct ScalarCodec<numeric::Rational> {
     w.put_string(v.den().to_string());
   }
   static void decode(ByteReader& r, numeric::Rational& v) {
-    std::string num = r.get_string();
-    std::string den = r.get_string();
+    std::string num, den;
+    r.str(num);
+    r.str(den);
     if (!r.ok()) return;
     v = numeric::Rational(numeric::BigInt::from_string(num),
                           numeric::BigInt::from_string(den));
   }
 };
 
-// Per-storage-backend serialization of the matrix entry section (and the
-// tag naming the backend+field pair). The dense codec's byte stream is the
-// historical v1 layout verbatim; the sparse codec serializes the CSR form
-// (nnz, row pointers, then column/value pairs) and re-validates every CSR
-// invariant on decode, so a blob that parses is canonical by construction.
+// Per-storage-backend serialization of the matrix (shape, then entry
+// section) and the tag naming the backend+field pair: one bulk field of the
+// PFCK payload. The dense codec's byte stream is the historical v1 layout
+// verbatim; the sparse codec serializes the CSR form (nnz, row pointers,
+// then column/value pairs) and re-validates every CSR invariant on decode,
+// so a blob that parses is canonical by construction.
 template <class Storage>
 struct StorageCodec;
 
@@ -319,11 +260,13 @@ template <class T>
 struct StorageCodec<Matrix<T>> {
   static const char* tag() { return field_tag<T>(); }
 
-  static std::size_t entry_size_hint(const Matrix<T>& m) {
+  static std::size_t size_hint(const Matrix<T>& m) {
     return m.rows() * m.cols() * (sizeof(T) + 2);
   }
 
-  static void encode_entries(ByteWriter& w, const Matrix<T>& m) {
+  static void encode(ByteWriter& w, const Matrix<T>& m) {
+    w.put_u64(m.rows());
+    w.put_u64(m.cols());
     const std::size_t entries = m.rows() * m.cols();
     if constexpr (std::is_same_v<T, double> &&
                   std::endian::native == std::endian::little) {
@@ -338,10 +281,11 @@ struct StorageCodec<Matrix<T>> {
     }
   }
 
-  static bool decode_entries(ByteReader& r, std::uint64_t rows,
-                             std::uint64_t cols, std::size_t body_size,
-                             Matrix<T>& m) {
-    if (rows * cols > body_size) return false;  // cheap bound: >=1 byte/entry
+  static bool decode(ByteReader& r, Matrix<T>& m) {
+    const std::uint64_t rows = r.get_u64();
+    const std::uint64_t cols = r.get_u64();
+    // Cheap bound before allocating: >= 1 byte per entry.
+    if (!r.ok() || rows * cols > r.size()) return false;
     m = Matrix<T>(rows, cols);
     if constexpr (std::is_same_v<T, double> &&
                   std::endian::native == std::endian::little) {
@@ -361,15 +305,16 @@ template <class T>
 struct StorageCodec<sparse::SparseMatrix<T>> {
   static const char* tag() { return sparse_field_tag<T>(); }
 
-  static std::size_t entry_size_hint(const sparse::SparseMatrix<T>& m) {
+  static std::size_t size_hint(const sparse::SparseMatrix<T>& m) {
     return (m.rows() + 1) * 8 + m.nnz() * (sizeof(T) + 10);
   }
 
-  // Entry section: nnz u64, row_ptr (rows+1 u64), then nnz (col u64,
+  // rows u64, cols u64, nnz u64, row_ptr (rows+1 u64), then nnz (col u64,
   // scalar) pairs in row-major order — the CSR arrays verbatim.
-  static void encode_entries(ByteWriter& w,
-                             const sparse::SparseMatrix<T>& m) {
+  static void encode(ByteWriter& w, const sparse::SparseMatrix<T>& m) {
     using Entry = typename sparse::SparseMatrix<T>::Entry;
+    w.put_u64(m.rows());
+    w.put_u64(m.cols());
     if constexpr (std::is_same_v<T, double> &&
                   std::endian::native == std::endian::little &&
                   sizeof(std::size_t) == 8) {
@@ -415,14 +360,13 @@ struct StorageCodec<sparse::SparseMatrix<T>> {
     }
   }
 
-  static bool decode_entries(ByteReader& r, std::uint64_t rows,
-                             std::uint64_t cols, std::size_t body_size,
-                             sparse::SparseMatrix<T>& m) {
+  static bool decode(ByteReader& r, sparse::SparseMatrix<T>& m) {
+    const std::uint64_t rows = r.get_u64();
+    const std::uint64_t cols = r.get_u64();
     const std::uint64_t nnz = r.get_u64();
     // Bounds before any allocation: row_ptr needs 8(rows+1) bytes and each
     // entry at least 9 (col u64 + >=1 value byte).
-    if (!r.ok() || nnz > body_size / 9 || rows > body_size / 8)
-      return false;
+    if (!r.ok() || nnz > r.size() / 9 || rows > r.size() / 8) return false;
     std::vector<std::size_t> row_ptr(rows + 1);
     for (std::uint64_t i = 0; i <= rows; ++i) row_ptr[i] = r.get_u64();
     if (!r.ok() || row_ptr.back() != nnz) return false;
@@ -471,11 +415,56 @@ struct StorageCheckpoint {
 template <class T>
 using FactorCheckpoint = StorageCheckpoint<Matrix<T>>;
 
+// The same snapshot by reference to a run's live state, so saving copies
+// no matrix.
+template <class Storage>
+struct CheckpointParts {
+  std::string_view algorithm;
+  std::uint32_t strategy;
+  std::uint64_t next_step;
+  const Storage& matrix;
+  bool has_perm;
+  const Permutation& perm;
+  const factor::PivotTrace& trace;
+};
+
+// The PFCK payload: written from CheckpointParts, read into a
+// StorageCheckpoint.
+template <class Io, class R>
+  requires requires(R& c) { c.matrix; }
+void fields(Io& io, R& c) {
+  using Codec =
+      detail::StorageCodec<std::remove_cvref_t<decltype(c.matrix)>>;
+  io.str(c.algorithm);
+  io.tag(Codec::tag());
+  io.u32(c.strategy);
+  io.u64(c.next_step);
+  io.bulk(c.matrix, Codec{});
+  io.u8(c.has_perm);
+  if (c.has_perm) io.perm(c.perm);
+  io.trace(c.trace);
+}
+
+struct CheckpointHeader {
+  std::uint32_t magic = kCheckpointMagic;
+  std::uint32_t version = kCheckpointVersion;
+  std::uint64_t length = 0;  // payload bytes
+  std::uint32_t crc = 0;     // CRC32 of the payload
+};
+
+template <class Io, detail::Of<CheckpointHeader> R>
+void fields(Io& io, R& h) {
+  io.u32(h.magic);
+  io.u32(h.version);
+  io.u64(h.length);
+  io.u32(h.crc);
+}
+
 // Serializes a snapshot directly from the caller's live state — no copy of
 // the matrix into a FactorCheckpoint first, and header + payload share one
-// buffer (the length/CRC fields are patched in afterwards). This is the
-// save-every-k hot path; encode_checkpoint(c) below is the convenience
-// wrapper over an already-materialized struct.
+// buffer (the header is rewritten once the payload's length and CRC are
+// known). This is the save-every-k hot path; encode_checkpoint(c) below is
+// the convenience wrapper over an already-materialized struct.
 template <class Storage>
 std::string encode_checkpoint_parts(std::string_view algorithm,
                                     std::uint32_t strategy,
@@ -483,41 +472,25 @@ std::string encode_checkpoint_parts(std::string_view algorithm,
                                     const Storage& matrix,
                                     const Permutation* perm,
                                     const factor::PivotTrace& trace) {
-  using Codec = detail::StorageCodec<Storage>;
+  const Permutation no_perm;
+  const CheckpointParts<Storage> parts{
+      algorithm, strategy,          next_step,
+      matrix,    perm != nullptr,   perm != nullptr ? *perm : no_perm,
+      trace};
   detail::ByteWriter w;
   // Capacity hint only (Rational entries are variable-width): sized for the
   // fixed-width fields so snapshotting inside a factorization loop does not
   // reallocate per entry.
   w.reserve(kCheckpointHeaderBytes + 128 + algorithm.size() +
-            Codec::entry_size_hint(matrix) +
-            (perm != nullptr ? perm->size() * 8 : 0) + trace.size() * 28);
-  w.put_u32(kCheckpointMagic);
-  w.put_u32(kCheckpointVersion);
-  w.put_u64(0);  // payload length, patched below
-  w.put_u32(0);  // payload CRC, patched below
-  w.put_string(algorithm);
-  w.put_string(Codec::tag());
-  w.put_u32(strategy);
-  w.put_u64(next_step);
-  w.put_u64(matrix.rows());
-  w.put_u64(matrix.cols());
-  Codec::encode_entries(w, matrix);
-  w.put_u8(perm != nullptr ? 1 : 0);
-  if (perm != nullptr) {
-    w.put_u64(perm->size());
-    for (std::size_t i = 0; i < perm->size(); ++i) w.put_u64((*perm)[i]);
-  }
-  w.put_u64(trace.size());
-  for (const factor::PivotEvent& e : trace.events()) {
-    w.put_u64(e.column);
-    w.put_u64(e.pivot_pos);
-    w.put_u64(e.pivot_row);
-    w.put_u32(static_cast<std::uint32_t>(e.action));
-  }
-  const std::size_t length = w.bytes().size() - kCheckpointHeaderBytes;
-  w.patch_u64(8, length);
-  w.patch_u32(16,
-              crc32(w.bytes().data() + kCheckpointHeaderBytes, length));
+            detail::StorageCodec<Storage>::size_hint(matrix) +
+            parts.perm.size() * 8 + trace.size() * 28);
+  detail::write_fields(w, CheckpointHeader{});
+  detail::write_fields(w, parts);
+  const std::string_view body =
+      std::string_view(w.bytes()).substr(kCheckpointHeaderBytes);
+  w.overwrite(0, detail::encode_fields(CheckpointHeader{
+                     .length = body.size(),
+                     .crc = crc32(body.data(), body.size())}));
   return w.take();
 }
 
@@ -531,8 +504,8 @@ std::string encode_checkpoint(const StorageCheckpoint<Storage>& c) {
 // Field-agnostic envelope check: magic, version, declared length, and
 // payload CRC — everything that can be verified without knowing the scalar
 // field T. The process-isolation supervisor uses this to vet checkpoint
-// frames arriving over a worker pipe before filing them for resume (full
-// payload validation happens in decode_checkpoint<T> on the resuming side).
+// frames arriving over a worker pipe before filing them for resume, and
+// decode_storage_checkpoint runs it before parsing the payload.
 CheckpointStatus validate_checkpoint_envelope(std::string_view blob);
 
 // Validates and parses `blob` into `out`. Any failure leaves `out`
@@ -542,68 +515,11 @@ CheckpointStatus validate_checkpoint_envelope(std::string_view blob);
 template <class Storage>
 CheckpointStatus decode_storage_checkpoint(std::string_view blob,
                                            StorageCheckpoint<Storage>& out) {
-  if (blob.size() < kCheckpointHeaderBytes) return CheckpointStatus::kTruncated;
-  detail::ByteReader header(blob.substr(0, kCheckpointHeaderBytes));
-  const std::uint32_t magic = header.get_u32();
-  const std::uint32_t version = header.get_u32();
-  const std::uint64_t length = header.get_u64();
-  const std::uint32_t crc = header.get_u32();
-  if (magic != kCheckpointMagic) return CheckpointStatus::kBadMagic;
-  if (version != kCheckpointVersion) return CheckpointStatus::kBadVersion;
-  // The envelope checks in validate_checkpoint_envelope's order, so the two
-  // give the same verdict on every damaged blob.
-  if (length > blob.size() - kCheckpointHeaderBytes)
-    return CheckpointStatus::kTruncated;
-  const std::string_view body = blob.substr(kCheckpointHeaderBytes, length);
-  if (crc32(body.data(), body.size()) != crc)
-    return CheckpointStatus::kCrcMismatch;
-  if (length != blob.size() - kCheckpointHeaderBytes)
-    return CheckpointStatus::kMalformed;  // trailing garbage after the payload
-
-  detail::ByteReader r(body);
-  StorageCheckpoint<Storage> c;
-  c.algorithm = r.get_string();
-  const std::string tag = r.get_string();
-  if (!r.ok() || tag != detail::StorageCodec<Storage>::tag())
-    return CheckpointStatus::kMalformed;
-  c.strategy = r.get_u32();
-  c.next_step = r.get_u64();
-  const std::uint64_t rows = r.get_u64();
-  const std::uint64_t cols = r.get_u64();
-  if (!r.ok()) return CheckpointStatus::kMalformed;
-  try {
-    if (!detail::StorageCodec<Storage>::decode_entries(r, rows, cols,
-                                                       body.size(), c.matrix))
-      return CheckpointStatus::kMalformed;
-    c.has_perm = r.get_u8() != 0;
-    if (c.has_perm) {
-      const std::uint64_t n = r.get_u64();
-      if (!r.ok() || n > body.size()) return CheckpointStatus::kMalformed;
-      std::vector<std::size_t> map(n);
-      for (std::uint64_t i = 0; i < n; ++i) map[i] = r.get_u64();
-      c.perm = Permutation(std::move(map));
-    }
-    const std::uint64_t events = r.get_u64();
-    if (!r.ok() || events > body.size()) return CheckpointStatus::kMalformed;
-    for (std::uint64_t i = 0; i < events; ++i) {
-      factor::PivotEvent e;
-      e.column = r.get_u64();
-      e.pivot_pos = r.get_u64();
-      e.pivot_row = r.get_u64();
-      const std::uint32_t action = r.get_u32();
-      if (action > static_cast<std::uint32_t>(factor::PivotAction::kFail))
-        return CheckpointStatus::kMalformed;
-      e.action = static_cast<factor::PivotAction>(action);
-      c.trace.record(e);
-    }
-  } catch (const std::exception&) {
-    // Scalar decode may throw on garbage that slipped past the bounds
-    // checks (e.g. a non-numeric Rational string) — same verdict.
-    return CheckpointStatus::kMalformed;
-  }
-  if (!r.ok() || !r.exhausted()) return CheckpointStatus::kMalformed;
-  out = std::move(c);
-  return CheckpointStatus::kOk;
+  const CheckpointStatus envelope = validate_checkpoint_envelope(blob);
+  if (envelope != CheckpointStatus::kOk) return envelope;
+  return detail::decode_fields(blob.substr(kCheckpointHeaderBytes), out)
+             ? CheckpointStatus::kOk
+             : CheckpointStatus::kMalformed;
 }
 
 // Dense spelling (the historical API): decode into a FactorCheckpoint<T>.

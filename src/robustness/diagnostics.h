@@ -20,6 +20,7 @@
 #include "factor/pivot_trace.h"
 #include "obs/counters.h"
 #include "obs/taxonomy.h"
+#include "robustness/fields.h"
 
 namespace pfact::robustness {
 
@@ -186,5 +187,24 @@ struct RunReport {
     return s;
   }
 };
+
+// The fields of a report that cross a process boundary (serve/wire.h): all
+// but the metrics, which are per-process. The FULL pivot trace travels, so
+// cross-process resume equivalence is assertable event for event.
+template <class Io, detail::Of<RunReport> R>
+void fields(Io& io, R& r) {
+  io.u32(r.diagnostic);
+  io.u8(r.value);
+  io.str(r.algorithm);
+  io.u64(r.order);
+  io.f64(r.decoded_entry);
+  io.u64(r.steps_used);
+  io.u64(r.offending_row);
+  io.u64(r.offending_col);
+  io.str(r.detail);
+  io.str(r.pivot_excerpt);
+  io.str(r.injection);
+  io.trace(r.trace);
+}
 
 }  // namespace pfact::robustness

@@ -5,34 +5,6 @@
 
 namespace pfact::robustness {
 
-const char* substrate_name(Substrate s) {
-  switch (s) {
-    case Substrate::kDouble: return "double";
-    case Substrate::kSoftFloat53: return "softfloat53";
-    case Substrate::kRational: return "rational";
-  }
-  return "?";
-}
-
-const char* algorithm_name(Algorithm a) {
-  switch (a) {
-    case Algorithm::kGem: return "GEM";
-    case Algorithm::kGems: return "GEMS";
-    case Algorithm::kGemNonsingular: return "GEM/nonsingular";
-    case Algorithm::kGep: return "GEP";
-    case Algorithm::kGqr: return "GQR";
-  }
-  return "?";
-}
-
-const char* backend_name(Backend b) {
-  switch (b) {
-    case Backend::kDense: return "dense";
-    case Backend::kSparse: return "sparse";
-  }
-  return "?";
-}
-
 bool ReductionTask::expected() const {
   switch (algorithm) {
     case Algorithm::kGem:
@@ -43,6 +15,8 @@ bool ReductionTask::expected() const {
       return !(u == 2 && w == 2);  // NAND on True=2
     case Algorithm::kGqr:
       return !(u == 1 && w == 1);  // NAND on True=+1
+    case Algorithm::kCount_:
+      break;
   }
   return false;
 }
@@ -59,6 +33,8 @@ std::string ReductionTask::describe() const {
     case Algorithm::kGqr:
       s += " u=" + std::to_string(u) + " w=" + std::to_string(w) +
            " depth=" + std::to_string(depth);
+      break;
+    case Algorithm::kCount_:
       break;
   }
   if (backend != Backend::kDense) {
@@ -105,8 +81,9 @@ RunReport run_field(const ReductionTask& task, const GuardLimits& limits,
     case Algorithm::kGep:
       return guarded_run_gep_chain_t<T, Storage>(task.u, task.w, task.depth,
                                                  limits, fault, ckpt);
-    case Algorithm::kGqr:
-      break;  // handled by the caller
+    case Algorithm::kGqr:  // handled by the caller
+    case Algorithm::kCount_:
+      break;
   }
   RunReport rep;
   rep.algorithm = algorithm_name(task.algorithm);
@@ -125,6 +102,8 @@ RunReport run_field_backend(const ReductionTask& task,
       return run_field<T, Matrix<T>>(task, limits, fault, ckpt);
     case Backend::kSparse:
       return run_field<T, sparse::SparseMatrix<T>>(task, limits, fault, ckpt);
+    case Backend::kCount_:
+      break;
   }
   RunReport rep;
   rep.algorithm = algorithm_name(task.algorithm);
@@ -144,6 +123,8 @@ RunReport run_gqr_backend(const ReductionTask& task, const GuardLimits& limits,
     case Backend::kSparse:
       return guarded_run_gqr_chain<T, sparse::SparseMatrix<T>>(
           task.u, task.w, task.depth, limits, fault, ckpt);
+    case Backend::kCount_:
+      break;
   }
   RunReport rep;
   rep.algorithm = algorithm_name(task.algorithm);
@@ -172,8 +153,9 @@ RunReport run_on_substrate(const ReductionTask& task, Substrate s,
         return run_gqr_backend<long double>(task, limits, fault, ckpt);
       case Substrate::kSoftFloat53:
         return run_gqr_backend<numeric::Float53>(task, limits, fault, ckpt);
-      case Substrate::kRational:
-        break;  // rejected above
+      case Substrate::kRational:  // rejected above
+      case Substrate::kCount_:
+        break;
     }
   }
   switch (s) {
@@ -183,6 +165,8 @@ RunReport run_on_substrate(const ReductionTask& task, Substrate s,
       return run_field_backend<numeric::Float53>(task, limits, fault, ckpt);
     case Substrate::kRational:
       return run_field_backend<numeric::Rational>(task, limits, fault, ckpt);
+    case Substrate::kCount_:
+      break;
   }
   RunReport rep;
   rep.algorithm = algorithm_name(task.algorithm);

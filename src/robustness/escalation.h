@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "obs/taxonomy.h"
 #include "robustness/diagnostics.h"
 #include "robustness/fault_injector.h"
 #include "robustness/guarded_run.h"
@@ -45,9 +46,19 @@ enum class Substrate {
   kDouble,
   kSoftFloat53,
   kRational,
+  kCount_,  // sentinel: number of substrates
 };
 
-const char* substrate_name(Substrate s);
+inline constexpr obs::RowTable<obs::NameRow<Substrate>> kSubstrateRows = {{
+    {Substrate::kDouble, "double"},
+    {Substrate::kSoftFloat53, "softfloat53"},
+    {Substrate::kRational, "rational"},
+}};
+static_assert(obs::is_row_table(kSubstrateRows));
+
+inline const char* substrate_name(Substrate s) {
+  return obs::name_of(kSubstrateRows, s);
+}
 
 enum class Algorithm {
   kGem,             // Thm 3.1, minimal pivoting with swaps
@@ -55,9 +66,25 @@ enum class Algorithm {
   kGemNonsingular,  // Cor 3.2, bordered nonsingular GEM
   kGep,             // Thm 3.4, partial pivoting NAND/PASS chain
   kGqr,             // Thm 4.1, Givens rotation NAND/PASS chain
+  kCount_,          // sentinel: number of algorithms
 };
 
-const char* algorithm_name(Algorithm a);
+// The paper's names, also the cache-key and checkpoint spelling of each
+// algorithm: not kebab-case, so only non-empty is required.
+inline constexpr obs::RowTable<obs::NameRow<Algorithm>> kAlgorithmRows = {{
+    {Algorithm::kGem, "GEM"},
+    {Algorithm::kGems, "GEMS"},
+    {Algorithm::kGemNonsingular, "GEM/nonsingular"},
+    {Algorithm::kGep, "GEP"},
+    {Algorithm::kGqr, "GQR"},
+}};
+static_assert(obs::is_row_table(kAlgorithmRows, [](const char* name) {
+  return name != nullptr && *name != '\0';
+}));
+
+inline const char* algorithm_name(Algorithm a) {
+  return obs::name_of(kAlgorithmRows, a);
+}
 
 // WHICH storage backend holds the reduction matrix while it runs
 // (matrix/storage.h). The two backends are bit-equal by contract: same
@@ -69,9 +96,18 @@ const char* algorithm_name(Algorithm a);
 enum class Backend {
   kDense,
   kSparse,
+  kCount_,  // sentinel: number of backends
 };
 
-const char* backend_name(Backend b);
+inline constexpr obs::RowTable<obs::NameRow<Backend>> kBackendRows = {{
+    {Backend::kDense, "dense"},
+    {Backend::kSparse, "sparse"},
+}};
+static_assert(obs::is_row_table(kBackendRows));
+
+inline const char* backend_name(Backend b) {
+  return obs::name_of(kBackendRows, b);
+}
 
 // One unit of resilient work: everything needed to (re-)launch the same
 // reduction on any rung of the ladder.

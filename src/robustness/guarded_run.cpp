@@ -70,6 +70,7 @@ std::string trace_excerpt(const factor::PivotTrace& trace,
       case factor::PivotAction::kShift: act = "shift"; break;
       case factor::PivotAction::kSkip: act = "skip"; break;
       case factor::PivotAction::kFail: act = "fail"; break;
+      case factor::PivotAction::kCount_: break;
     }
     out += " c" + std::to_string(e.column) + ":" + act;
     if (e.action == factor::PivotAction::kSwap ||

@@ -14,27 +14,10 @@
 
 #include "obs/counters.h"
 #include "obs/trace.h"
-#include "robustness/checkpoint.h"
 
 namespace pfact::serve {
 
 namespace {
-
-using robustness::detail::ByteWriter;
-
-// The complete on-wire bytes of one frame — the client builds frames by
-// hand (rather than through write_frame) so the fault injector can tear,
-// dribble, and mangle them at byte granularity.
-std::string frame_bytes(FrameType type, std::string_view payload) {
-  ByteWriter w;
-  w.reserve(kFrameHeaderBytes + payload.size());
-  w.put_u32(kFrameMagic);
-  w.put_u8(static_cast<std::uint8_t>(type));
-  w.put_u64(payload.size());
-  w.put_u32(robustness::crc32(payload.data(), payload.size()));
-  w.put_bytes(payload.data(), payload.size());
-  return w.take();
-}
 
 // Writes exactly [data, data+n), absorbing EINTR and partial writes. The
 // verdicts are write_frame's: kConnReset when the peer is gone
@@ -198,6 +181,8 @@ Client::Attempt Client::run_attempt(const robustness::ReductionTask& task,
   PFACT_SPAN("serve.client");
   TaskRequest req;
   req.task = task;
+  // The whole frame's bytes, not write_frame, so the fault injector can
+  // tear, dribble and mangle them at byte granularity.
   const std::string frame = frame_bytes(FrameType::kRequest,
                                         encode_request(req));
 

@@ -21,9 +21,6 @@ namespace pfact::serve {
 
 namespace {
 
-using robustness::detail::ByteReader;
-using robustness::detail::ByteWriter;
-
 // SIGTERM drain registry. The handler may only touch async-signal-safe
 // state: a lock-free flag plus a fixed array of lock-free atomics holding
 // each live Frontend's wake-pipe write end. Slots are claimed by CAS in the
@@ -70,40 +67,23 @@ void drain_and_close(int fd) {
 
 // --- response codec ---------------------------------------------------------
 
+template <class Io, robustness::detail::Of<FrontendResponse> R>
+void fields(Io& io, R& r) {
+  io.u32(r.status);
+  io.u32(r.admission);
+  io.u8(r.from_cache);
+  io.u8(r.certified);
+  io.u8(r.value);
+  io.u32(r.certified_by);
+  io.encoded(r.report, encode_result, decode_result);
+}
+
 std::string encode_response(const FrontendResponse& resp) {
-  ByteWriter w;
-  w.put_u32(static_cast<std::uint32_t>(resp.status));
-  w.put_u32(static_cast<std::uint32_t>(resp.admission));
-  w.put_u8(resp.from_cache ? 1 : 0);
-  w.put_u8(resp.certified ? 1 : 0);
-  w.put_u8(resp.value ? 1 : 0);
-  w.put_u32(static_cast<std::uint32_t>(resp.certified_by));
-  w.put_string(encode_result(resp.report));
-  return w.take();
+  return robustness::detail::encode_fields(resp);
 }
 
 bool decode_response(std::string_view payload, FrontendResponse& out) {
-  ByteReader r(payload);
-  FrontendResponse resp;
-  const std::uint32_t status = r.get_u32();
-  // Both taxonomies are append-only: every ordinal below kCount_ decodes.
-  if (status >= obs::kCountOf<FrontendStatus>) return false;
-  resp.status = static_cast<FrontendStatus>(status);
-  const std::uint32_t admission = r.get_u32();
-  if (admission >= obs::kCountOf<Admission>) return false;
-  resp.admission = static_cast<Admission>(admission);
-  resp.from_cache = r.get_u8() != 0;
-  resp.certified = r.get_u8() != 0;
-  resp.value = r.get_u8() != 0;
-  const std::uint32_t substrate = r.get_u32();
-  if (substrate > static_cast<std::uint32_t>(robustness::Substrate::kRational))
-    return false;
-  resp.certified_by = static_cast<robustness::Substrate>(substrate);
-  const std::string report = r.get_string();
-  if (!r.ok() || !r.exhausted()) return false;
-  if (!decode_result(report, resp.report)) return false;
-  out = std::move(resp);
-  return true;
+  return robustness::detail::decode_fields(payload, out);
 }
 
 // --- per-connection state machine -------------------------------------------
@@ -122,9 +102,7 @@ struct Frontend::Conn {
   int fd = -1;
   Phase phase = Phase::kHeader;
   std::string inbuf;            // header bytes, then payload bytes
-  std::uint8_t frame_type = 0;
-  std::uint64_t frame_len = 0;
-  std::uint32_t frame_crc = 0;
+  FrameHeader header;
   std::string outbuf;           // one fully framed response
   std::size_t out_off = 0;
   bool close_after_write = false;
@@ -452,9 +430,9 @@ void Frontend::accept_ready(int listen_fd) {
 bool Frontend::conn_readable(Conn& c) {
   for (;;) {
     const std::size_t need =
-        (c.phase == Conn::Phase::kHeader ? kFrameHeaderBytes
-                                         : static_cast<std::size_t>(
-                                               c.frame_len)) -
+        (c.phase == Conn::Phase::kHeader
+             ? kFrameHeaderBytes
+             : static_cast<std::size_t>(c.header.length)) -
         c.inbuf.size();
     if (need == 0) break;
     char buf[4096];
@@ -485,26 +463,15 @@ bool Frontend::conn_readable(Conn& c) {
 
     if (c.phase == Conn::Phase::kHeader &&
         c.inbuf.size() == kFrameHeaderBytes) {
-      ByteReader r(c.inbuf);
-      const std::uint32_t magic = r.get_u32();
-      c.frame_type = r.get_u8();
-      c.frame_len = r.get_u64();
-      c.frame_crc = r.get_u32();
-      if (magic == kFrameMagic &&
-          c.frame_type == static_cast<std::uint8_t>(FrameType::kProbe) &&
-          c.frame_len == 0 && c.frame_crc == robustness::crc32("", 0)) {
+      const WireStatus header = parse_frame_header(c.inbuf, c.header);
+      if (header == WireStatus::kOk && c.header.type == FrameType::kProbe &&
+          c.header.length == 0 && c.header.crc == robustness::crc32("", 0)) {
         // Router heartbeat: echo an empty kProbe frame straight from the
         // event loop, never touching the admission queue — liveness of this
         // poll loop is exactly what the prober wants to measure, and a
         // saturated queue must not make a healthy shard look dead. The
         // connection stays open for the next probe.
-        ByteWriter w;
-        w.reserve(kFrameHeaderBytes);
-        w.put_u32(kFrameMagic);
-        w.put_u8(static_cast<std::uint8_t>(FrameType::kProbe));
-        w.put_u64(0);
-        w.put_u32(robustness::crc32("", 0));
-        c.outbuf = w.take();
+        c.outbuf = frame_bytes(FrameType::kProbe, {});
         c.out_off = 0;
         c.inbuf.clear();
         c.phase = Conn::Phase::kWrite;
@@ -514,26 +481,26 @@ bool Frontend::conn_readable(Conn& c) {
         PFACT_COUNT(kFrontendProbes);
         return true;
       }
-      if (magic != kFrameMagic ||
-          c.frame_type != static_cast<std::uint8_t>(FrameType::kRequest) ||
-          c.frame_len > kMaxFramePayload) {
+      if (header != WireStatus::kOk || c.header.type != FrameType::kRequest) {
         // Garbage preamble, a non-request frame type (known or unknown),
         // or an absurd length: one classified refusal, then close — the
         // stream is not trustworthy past a bad header.
         queue_response(c, FrontendStatus::kMalformedFrame, nullptr,
-                       magic != kFrameMagic ? "bad frame magic"
-                                            : "unexpected frame type/length");
+                       header == WireStatus::kBadMagic
+                           ? "bad frame magic"
+                           : "unexpected frame type/length");
         return true;
       }
       c.inbuf.clear();
       c.phase = Conn::Phase::kPayload;
-      if (c.frame_len == 0) {
+      if (c.header.length == 0) {
         finish_frame(c);
         return true;
       }
       continue;
     }
-    if (c.phase == Conn::Phase::kPayload && c.inbuf.size() == c.frame_len) {
+    if (c.phase == Conn::Phase::kPayload &&
+        c.inbuf.size() == c.header.length) {
       finish_frame(c);
       return true;
     }
@@ -543,7 +510,7 @@ bool Frontend::conn_readable(Conn& c) {
 
 void Frontend::finish_frame(Conn& c) {
   PFACT_SPAN("serve.frontend");
-  if (robustness::crc32(c.inbuf.data(), c.inbuf.size()) != c.frame_crc) {
+  if (robustness::crc32(c.inbuf.data(), c.inbuf.size()) != c.header.crc) {
     queue_response(c, FrontendStatus::kMalformedFrame, nullptr,
                    "payload CRC mismatch");
     return;
@@ -616,15 +583,7 @@ void Frontend::queue_response(Conn& c, FrontendStatus status,
     fr.report.diagnostic = diagnose_frontend_status(status);
     fr.report.detail = detail == nullptr ? "" : detail;
   }
-  const std::string payload = encode_response(fr);
-  ByteWriter w;
-  w.reserve(kFrameHeaderBytes + payload.size());
-  w.put_u32(kFrameMagic);
-  w.put_u8(static_cast<std::uint8_t>(FrameType::kResponse));
-  w.put_u64(payload.size());
-  w.put_u32(robustness::crc32(payload.data(), payload.size()));
-  w.put_bytes(payload.data(), payload.size());
-  c.outbuf = w.take();
+  c.outbuf = frame_bytes(FrameType::kResponse, encode_response(fr));
   c.out_off = 0;
   c.inbuf.clear();
   c.phase = Conn::Phase::kWrite;

@@ -2,56 +2,16 @@
 
 #include <utility>
 
-#include "circuit/io.h"
 #include "obs/counters.h"
 #include "robustness/checkpoint.h"
+#include "serve/wire.h"
 
 namespace pfact::serve {
-
-namespace {
-
-using robustness::detail::ByteReader;
-using robustness::detail::ByteWriter;
-
-std::string serialize_entry(const CacheEntry& entry) {
-  ByteWriter w;
-  w.put_u8(entry.value ? 1 : 0);
-  w.put_u32(static_cast<std::uint32_t>(entry.substrate));
-  w.put_string(entry.final_checkpoint);
-  return w.take();
-}
-
-bool deserialize_entry(const std::string& bytes, CacheEntry& out) {
-  ByteReader r(bytes);
-  CacheEntry entry;
-  entry.value = r.get_u8() != 0;
-  const std::uint32_t substrate = r.get_u32();
-  if (substrate > static_cast<std::uint32_t>(robustness::Substrate::kRational))
-    return false;
-  entry.substrate = static_cast<robustness::Substrate>(substrate);
-  entry.final_checkpoint = r.get_string();
-  if (!r.ok() || !r.exhausted()) return false;
-  out = std::move(entry);
-  return true;
-}
-
-}  // namespace
 
 ResultCache::ResultCache(std::size_t capacity) : capacity_(capacity) {}
 
 std::string ResultCache::key_for(const robustness::ReductionTask& task,
                                  robustness::Substrate substrate) {
-  // The circuit travels by the same canonical rule the wire codec uses
-  // (wire.cpp encode_request): the empty instance — GEP/GQR chain tasks —
-  // is the empty string, anything else is the canonical circuit text with
-  // its input assignment. The canonical text IS the content address.
-  std::string circuit_text;
-  if (task.instance.circuit.num_inputs() != 0 ||
-      task.instance.circuit.num_gates() != 0) {
-    const std::vector<bool>* inputs =
-        task.instance.inputs.empty() ? nullptr : &task.instance.inputs;
-    circuit_text = circuit::circuit_to_text(task.instance.circuit, inputs);
-  }
   std::string key = robustness::algorithm_name(task.algorithm);
   key += '\n';
   key += robustness::substrate_name(substrate);
@@ -65,7 +25,9 @@ std::string ResultCache::key_for(const robustness::ReductionTask& task,
   key += std::to_string(task.u) + ' ' + std::to_string(task.w) + ' ' +
          std::to_string(task.depth);
   key += '\n';
-  key += circuit_text;
+  // The canonical instance text the request frame carries IS the content
+  // address.
+  key += instance_text(task.instance);
   return key;
 }
 
@@ -93,7 +55,7 @@ CacheProbe ResultCache::lookup(const std::string& key, CacheEntry& out) {
     return CacheProbe::kCorruptEntry;
   }
   CacheEntry entry;
-  if (!deserialize_entry(stored.bytes, entry)) {
+  if (!robustness::detail::decode_fields(stored.bytes, entry)) {
     // Bytes hash but do not parse: same corruption family, same exit.
     drop(key);
     ++stats_.corrupt;
@@ -128,7 +90,7 @@ void ResultCache::insert(const std::string& key, const CacheEntry& entry) {
     PFACT_COUNT(kServeCacheEvictions);
   }
   Stored stored;
-  stored.bytes = serialize_entry(entry);
+  stored.bytes = robustness::detail::encode_fields(entry);
   stored.crc = robustness::crc32(stored.bytes.data(), stored.bytes.size());
   lru_.push_front(key);
   stored.lru = lru_.begin();

@@ -37,6 +37,7 @@
 #include "parallel/annotations.h"
 #include "robustness/diagnostics.h"
 #include "robustness/escalation.h"
+#include "robustness/fields.h"
 
 namespace pfact::serve {
 
@@ -84,6 +85,14 @@ struct CacheEntry {
   robustness::Substrate substrate = robustness::Substrate::kDouble;
   std::string final_checkpoint;
 };
+
+// The bytes a resident entry is stored as, under its CRC.
+template <class Io, robustness::detail::Of<CacheEntry> R>
+void fields(Io& io, R& e) {
+  io.u8(e.value);
+  io.u32(e.substrate);
+  io.str(e.final_checkpoint);
+}
 
 class ResultCache {
  public:

@@ -4,8 +4,6 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include <cstring>
-
 #include "circuit/io.h"
 #include "obs/taxonomy.h"
 #include "robustness/checkpoint.h"
@@ -14,239 +12,142 @@ namespace pfact::serve {
 
 namespace {
 
-using robustness::detail::ByteReader;
-using robustness::detail::ByteWriter;
+constexpr obs::RowTable<obs::NameRow<WireStatus>> kWireStatusRows = {{
+    {WireStatus::kOk, "ok"},
+    {WireStatus::kEof, "eof"},
+    {WireStatus::kTruncated, "truncated"},
+    {WireStatus::kBadMagic, "bad-magic"},
+    {WireStatus::kBadType, "bad-type"},
+    {WireStatus::kCrcMismatch, "crc-mismatch"},
+    {WireStatus::kMalformed, "malformed"},
+    {WireStatus::kIoError, "io-error"},
+    {WireStatus::kTimeout, "timeout"},
+    {WireStatus::kConnReset, "conn-reset"},
+}};
+static_assert(obs::is_row_table(kWireStatusRows));
 
-// Casting helpers: the wire carries enum ordinals; a decoder must range-check
-// them (a corrupted-but-CRC-valid payload cannot exist, but a version-skewed
-// peer can send ordinals this build does not know).
-bool to_algorithm(std::uint32_t v, robustness::Algorithm& out) {
-  if (v > static_cast<std::uint32_t>(robustness::Algorithm::kGqr)) return false;
-  out = static_cast<robustness::Algorithm>(v);
+// The inverse of instance_text. Text that does not parse throws, which
+// refuses the record (robustness::detail::decode_fields).
+bool parse_instance_text(std::string_view text,
+                         circuit::CvpInstance& instance) {
+  if (text.empty()) return true;  // the empty instance ReductionTask holds
+  circuit::ParsedInstance parsed =
+      circuit::parse_circuit_text(std::string(text));
+  instance.circuit = std::move(parsed.circuit);
+  instance.inputs = parsed.inputs.value_or(std::vector<bool>{});
   return true;
 }
 
-bool to_substrate(std::uint32_t v, robustness::Substrate& out) {
-  if (v > static_cast<std::uint32_t>(robustness::Substrate::kRational))
-    return false;
-  out = static_cast<robustness::Substrate>(v);
-  return true;
-}
+// A checkpoint frame's payload: the step, then the PFCK blob verbatim.
+struct CheckpointFrame {
+  std::uint64_t step = 0;
+  std::string_view blob;
+};
 
-bool to_backend(std::uint32_t v, robustness::Backend& out) {
-  if (v > static_cast<std::uint32_t>(robustness::Backend::kSparse))
-    return false;
-  out = static_cast<robustness::Backend>(v);
-  return true;
-}
-
-bool to_fault(std::uint32_t v, robustness::FaultClass& out) {
-  if (v >= obs::kCountOf<robustness::FaultClass>) return false;
-  out = static_cast<robustness::FaultClass>(v);
-  return true;
-}
-
-std::uint64_t double_bits(double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double bits_double(std::uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+template <class Io, robustness::detail::Of<CheckpointFrame> R>
+void fields(Io& io, R& f) {
+  io.u64(f.step);
+  io.rest(f.blob);
 }
 
 }  // namespace
 
+// Field lists of the records declared in wire.h. They sit in namespace
+// serve itself, where argument-dependent lookup finds them.
+template <class Io, robustness::detail::Of<FrameHeader> R>
+void fields(Io& io, R& h) {
+  io.u32(h.magic);
+  io.u8(h.type);
+  io.u64(h.length);
+  io.u32(h.crc);
+}
+
+template <class Io, robustness::detail::Of<TaskRequest> R>
+void fields(Io& io, R& r) {
+  io.u32(r.task.algorithm);
+  io.encoded(r.task.instance, instance_text, parse_instance_text);
+  io.i32(r.task.u);
+  io.i32(r.task.w);
+  io.u64(r.task.depth);
+  io.u32(r.task.backend);
+  io.u32(r.substrate);
+  io.u64(r.limits.max_steps);
+  io.u64(r.limits.timeout);
+  io.u64(r.limits.max_order);
+  io.f64(r.limits.decode_tolerance);
+  io.u64(r.checkpoint_every);
+  io.u64(r.resume_step);
+  io.str(r.resume_blob);
+  io.u32(r.fault.fault);
+  io.u64(r.fault.seed);
+  io.u8(r.fault.rounding);
+  io.u8(r.kill.mode);
+  io.u64(r.kill.after_saves);
+  io.u64(r.rlimits.address_space_bytes);
+  io.u64(r.rlimits.cpu_seconds);
+}
+
 const char* wire_status_name(WireStatus s) {
-  switch (s) {
-    case WireStatus::kOk: return "ok";
-    case WireStatus::kEof: return "eof";
-    case WireStatus::kTruncated: return "truncated";
-    case WireStatus::kBadMagic: return "bad-magic";
-    case WireStatus::kBadType: return "bad-type";
-    case WireStatus::kCrcMismatch: return "crc-mismatch";
-    case WireStatus::kMalformed: return "malformed";
-    case WireStatus::kIoError: return "io-error";
-    case WireStatus::kTimeout: return "timeout";
-    case WireStatus::kConnReset: return "conn-reset";
-  }
-  return "?";
+  return obs::name_of(kWireStatusRows, s);
+}
+
+std::string instance_text(const circuit::CvpInstance& instance) {
+  if (instance.circuit.num_inputs() == 0 && instance.circuit.num_gates() == 0)
+    return "";
+  return circuit::circuit_to_text(
+      instance.circuit, instance.inputs.empty() ? nullptr : &instance.inputs);
 }
 
 std::string encode_request(const TaskRequest& req) {
-  ByteWriter w;
-  w.put_u32(static_cast<std::uint32_t>(req.task.algorithm));
-  // The circuit travels as canonical text; the assignment line is emitted
-  // only when inputs exist. The GEP/GQR chain tasks carry the empty
-  // instance, which the text format cannot express ("inputs 0" is refused
-  // by the parser) — it travels as the empty string instead.
-  if (req.task.instance.circuit.num_inputs() == 0 &&
-      req.task.instance.circuit.num_gates() == 0) {
-    w.put_string("");
-  } else {
-    const std::vector<bool>* inputs =
-        req.task.instance.inputs.empty() ? nullptr : &req.task.instance.inputs;
-    w.put_string(circuit::circuit_to_text(req.task.instance.circuit, inputs));
-  }
-  w.put_i32(req.task.u);
-  w.put_i32(req.task.w);
-  w.put_u64(req.task.depth);
-  w.put_u32(static_cast<std::uint32_t>(req.task.backend));
-  w.put_u32(static_cast<std::uint32_t>(req.substrate));
-  w.put_u64(req.limits.max_steps);
-  w.put_u64(static_cast<std::uint64_t>(req.limits.timeout.count()));
-  w.put_u64(req.limits.max_order);
-  w.put_u64(double_bits(req.limits.decode_tolerance));
-  w.put_u64(req.checkpoint_every);
-  w.put_u64(req.resume_step);
-  w.put_string(req.resume_blob);
-  w.put_u32(static_cast<std::uint32_t>(req.fault.fault));
-  w.put_u64(req.fault.seed);
-  w.put_u8(static_cast<std::uint8_t>(req.fault.rounding));
-  w.put_u8(static_cast<std::uint8_t>(req.kill.mode));
-  w.put_u64(req.kill.after_saves);
-  w.put_u64(req.rlimits.address_space_bytes);
-  w.put_u64(req.rlimits.cpu_seconds);
-  return w.take();
+  return robustness::detail::encode_fields(req);
 }
 
 bool decode_request(std::string_view payload, TaskRequest& out) {
-  ByteReader r(payload);
-  TaskRequest req;
-  if (!to_algorithm(r.get_u32(), req.task.algorithm)) return false;
-  const std::string circuit_text = r.get_string();
-  if (!r.ok()) return false;
-  if (!circuit_text.empty()) {
-    try {
-      circuit::ParsedInstance parsed =
-          circuit::parse_circuit_text(circuit_text);
-      req.task.instance.circuit = std::move(parsed.circuit);
-      req.task.instance.inputs =
-          parsed.inputs.has_value() ? *parsed.inputs : std::vector<bool>{};
-    } catch (const std::exception&) {
-      return false;
-    }
-  }  // empty text = the empty instance ReductionTask defaults to
-  req.task.u = r.get_i32();
-  req.task.w = r.get_i32();
-  req.task.depth = static_cast<std::size_t>(r.get_u64());
-  if (!to_backend(r.get_u32(), req.task.backend)) return false;
-  if (!to_substrate(r.get_u32(), req.substrate)) return false;
-  req.limits.max_steps = static_cast<std::size_t>(r.get_u64());
-  req.limits.timeout = std::chrono::milliseconds(
-      static_cast<std::int64_t>(r.get_u64()));
-  req.limits.max_order = static_cast<std::size_t>(r.get_u64());
-  req.limits.decode_tolerance = bits_double(r.get_u64());
-  req.checkpoint_every = static_cast<std::size_t>(r.get_u64());
-  req.resume_step = r.get_u64();
-  req.resume_blob = r.get_string();
-  if (!to_fault(r.get_u32(), req.fault.fault)) return false;
-  req.fault.seed = r.get_u64();
-  const std::uint8_t rounding = r.get_u8();
-  if (rounding >
-      static_cast<std::uint8_t>(numeric::SoftFloatRounding::kAwayFromZero))
-    return false;
-  req.fault.rounding = static_cast<numeric::SoftFloatRounding>(rounding);
-  const std::uint8_t kill_mode = r.get_u8();
-  if (kill_mode > static_cast<std::uint8_t>(KillPlan::Mode::kSpin))
-    return false;
-  req.kill.mode = static_cast<KillPlan::Mode>(kill_mode);
-  req.kill.after_saves = r.get_u64();
-  req.rlimits.address_space_bytes = r.get_u64();
-  req.rlimits.cpu_seconds = r.get_u64();
-  if (!r.ok() || !r.exhausted()) return false;
-  out = std::move(req);
-  return true;
+  return robustness::detail::decode_fields(payload, out);
 }
 
 std::string encode_result(const robustness::RunReport& rep) {
-  ByteWriter w;
-  w.put_u32(static_cast<std::uint32_t>(rep.diagnostic));
-  w.put_u8(rep.value ? 1 : 0);
-  w.put_string(rep.algorithm);
-  w.put_u64(rep.order);
-  w.put_u64(double_bits(rep.decoded_entry));
-  w.put_u64(rep.steps_used);
-  w.put_u64(rep.offending_row);
-  w.put_u64(rep.offending_col);
-  w.put_string(rep.detail);
-  w.put_string(rep.pivot_excerpt);
-  w.put_string(rep.injection);
-  w.put_u64(rep.trace.size());
-  for (const factor::PivotEvent& e : rep.trace.events()) {
-    w.put_u64(e.column);
-    w.put_u64(e.pivot_pos);
-    w.put_u64(e.pivot_row);
-    w.put_u32(static_cast<std::uint32_t>(e.action));
-  }
-  return w.take();
+  return robustness::detail::encode_fields(rep);
 }
 
 bool decode_result(std::string_view payload, robustness::RunReport& out) {
-  ByteReader r(payload);
-  robustness::RunReport rep;
-  const std::uint32_t diag = r.get_u32();
-  // The taxonomy is append-only: every ordinal below kCount_ decodes.
-  if (diag >= obs::kCountOf<robustness::Diagnostic>) return false;
-  rep.diagnostic = static_cast<robustness::Diagnostic>(diag);
-  rep.value = r.get_u8() != 0;
-  rep.algorithm = r.get_string();
-  rep.order = static_cast<std::size_t>(r.get_u64());
-  rep.decoded_entry = bits_double(r.get_u64());
-  rep.steps_used = static_cast<std::size_t>(r.get_u64());
-  rep.offending_row = static_cast<std::size_t>(r.get_u64());
-  rep.offending_col = static_cast<std::size_t>(r.get_u64());
-  rep.detail = r.get_string();
-  rep.pivot_excerpt = r.get_string();
-  rep.injection = r.get_string();
-  const std::uint64_t events = r.get_u64();
-  if (!r.ok() || events > payload.size()) return false;  // >= 28 bytes/event
-  for (std::uint64_t i = 0; i < events; ++i) {
-    factor::PivotEvent e;
-    e.column = static_cast<std::size_t>(r.get_u64());
-    e.pivot_pos = static_cast<std::size_t>(r.get_u64());
-    e.pivot_row = static_cast<std::size_t>(r.get_u64());
-    const std::uint32_t action = r.get_u32();
-    if (action > static_cast<std::uint32_t>(factor::PivotAction::kFail))
-      return false;
-    e.action = static_cast<factor::PivotAction>(action);
-    rep.trace.record(e);
-  }
-  if (!r.ok() || !r.exhausted()) return false;
-  out = std::move(rep);
-  return true;
+  return robustness::detail::decode_fields(payload, out);
 }
 
 std::string encode_checkpoint_frame(std::uint64_t step,
                                     std::string_view blob) {
-  ByteWriter w;
-  w.reserve(8 + blob.size());
-  w.put_u64(step);
-  w.put_bytes(blob.data(), blob.size());
-  return w.take();
+  return robustness::detail::encode_fields(CheckpointFrame{step, blob});
 }
 
 bool decode_checkpoint_frame(std::string_view payload, std::uint64_t& step,
                              std::string& blob) {
-  if (payload.size() < 8) return false;
-  ByteReader r(payload.substr(0, 8));
-  step = r.get_u64();
-  blob.assign(payload.substr(8));
+  CheckpointFrame f;
+  if (!robustness::detail::decode_fields(payload, f)) return false;
+  step = f.step;
+  blob.assign(f.blob);
   return true;
 }
 
-WireStatus write_frame(int fd, FrameType type, std::string_view payload) {
-  ByteWriter w;
+std::string frame_bytes(FrameType type, std::string_view payload) {
+  robustness::detail::ByteWriter w;
   w.reserve(kFrameHeaderBytes + payload.size());
-  w.put_u32(kFrameMagic);
-  w.put_u8(static_cast<std::uint8_t>(type));
-  w.put_u64(payload.size());
-  w.put_u32(robustness::crc32(payload.data(), payload.size()));
+  robustness::detail::write_fields(
+      w, FrameHeader{kFrameMagic, type, payload.size(),
+                     robustness::crc32(payload.data(), payload.size())});
   w.put_bytes(payload.data(), payload.size());
-  const std::string& frame = w.bytes();
+  return w.take();
+}
+
+WireStatus parse_frame_header(std::string_view bytes, FrameHeader& h) {
+  robustness::detail::ByteReader r(bytes);
+  fields(r, h);  // in place: the magic is read even when the type is refused
+  if (h.magic != kFrameMagic) return WireStatus::kBadMagic;
+  if (!r.ok() || h.type == FrameType{}) return WireStatus::kBadType;
+  return h.length > kMaxFramePayload ? WireStatus::kMalformed : WireStatus::kOk;
+}
+
+WireStatus write_frame(int fd, FrameType type, std::string_view payload) {
+  const std::string frame = frame_bytes(type, payload);
   std::size_t off = 0;
   while (off < frame.size()) {
     const ssize_t n = ::write(fd, frame.data() + off, frame.size() - off);
@@ -320,26 +221,18 @@ WireStatus read_frame(int fd, FrameType& type, std::string& payload,
   bool any_read = false;
   WireStatus st = read_exact(fd, header, sizeof(header), deadline, &any_read);
   if (st != WireStatus::kOk) return st;
-  ByteReader r(std::string_view(header, sizeof(header)));
-  const std::uint32_t magic = r.get_u32();
-  const std::uint8_t raw_type = r.get_u8();
-  const std::uint64_t length = r.get_u64();
-  const std::uint32_t crc = r.get_u32();
-  if (magic != kFrameMagic) return WireStatus::kBadMagic;
-  if (raw_type < static_cast<std::uint8_t>(FrameType::kRequest) ||
-      raw_type > static_cast<std::uint8_t>(FrameType::kProbe)) {
-    return WireStatus::kBadType;
-  }
-  if (length > kMaxFramePayload) return WireStatus::kMalformed;
-  payload.resize(length);
-  if (length != 0) {
-    st = read_exact(fd, payload.data(), length, deadline, &any_read);
+  FrameHeader h;
+  st = parse_frame_header(std::string_view(header, sizeof(header)), h);
+  if (st != WireStatus::kOk) return st;
+  payload.resize(h.length);
+  if (h.length != 0) {
+    st = read_exact(fd, payload.data(), h.length, deadline, &any_read);
     if (st == WireStatus::kEof) return WireStatus::kTruncated;
     if (st != WireStatus::kOk) return st;
   }
-  if (robustness::crc32(payload.data(), payload.size()) != crc)
+  if (robustness::crc32(payload.data(), payload.size()) != h.crc)
     return WireStatus::kCrcMismatch;
-  type = static_cast<FrameType>(raw_type);
+  type = h.type;
   return WireStatus::kOk;
 }
 

@@ -16,18 +16,13 @@
 //   * reads are poll()-based with a deadline, so a wedged worker surfaces
 //     as kTimeout (the watchdog's trigger), not a hung supervisor.
 //
-// Frame layout (all integers little-endian):
-//
-//   magic   u32   "PFRM" (0x4D524650)
-//   type    u8    FrameType
-//   length  u64   payload byte count
-//   crc     u32   CRC32 (poly 0xEDB88320) of the payload bytes
-//   payload ...
-//
-// The request/result payloads reuse the ByteWriter/ByteReader codecs from
-// robustness/checkpoint.h; the circuit itself travels as the canonical
-// circuit text (circuit/io.h), so the wire format has no second, divergent
-// circuit serialization to keep in sync.
+// A frame is a FrameHeader (magic "PFRM", FrameType, payload length, CRC32
+// of the payload; kFrameHeaderBytes little-endian) and the payload. The
+// header and each payload (request, result, checkpoint frame, and the
+// frontend's response) are one field list each (robustness/fields.h), so
+// encoder and decoder cannot drift; an unknown frame type is kBadType. The
+// circuit travels as its canonical text (instance_text below), so there is
+// no second, divergent circuit serialization to keep in sync.
 
 #include <chrono>
 #include <cstddef>
@@ -56,7 +51,18 @@ enum class FrameType : std::uint8_t {
   kProbe = 5,       // router <-> shard: empty-payload health heartbeat; the
                     // frontend echoes it straight from its poll loop, so an
                     // ack proves event-loop liveness, not queue capacity
+  kCount_,          // sentinel: one past the last type (0 is no type)
 };
+
+struct FrameHeader {
+  std::uint32_t magic = kFrameMagic;
+  FrameType type = FrameType::kRequest;
+  std::uint64_t length = 0;  // payload bytes
+  std::uint32_t crc = 0;     // CRC32 of the payload
+};
+
+// The complete on-wire bytes of one frame.
+std::string frame_bytes(FrameType type, std::string_view payload);
 
 enum class WireStatus {
   kOk,
@@ -71,9 +77,15 @@ enum class WireStatus {
   kConnReset,    // the peer vanished (EPIPE / ECONNRESET): a socket-era
                  // death, distinct from kIoError so clients can classify
                  // it transient and resubmit (Diagnostic::kConnReset)
+  kCount_,       // sentinel: number of statuses
 };
 
 const char* wire_status_name(WireStatus s);
+
+// Parses and vets the kFrameHeaderBytes of a header: kBadMagic for a
+// desynchronized stream, kBadType for a type byte that names no FrameType,
+// kMalformed for a length over kMaxFramePayload, else kOk.
+WireStatus parse_frame_header(std::string_view bytes, FrameHeader& h);
 
 // How (and whether) a worker kills itself mid-run — the soak harness's
 // real-crash instrument. The trigger fires once `after_saves` checkpoint
@@ -86,6 +98,7 @@ struct KillPlan {
     kSigsegv = 2,  // a genuine wild store: dies by SIGSEGV
     kExit = 3,     // _exit(kKillPlanExitCode): orderly-but-wrong termination
     kSpin = 4,     // burn CPU forever: watchdog / RLIMIT_CPU fodder
+    kCount_,       // sentinel: number of modes
   };
   Mode mode = Mode::kNone;
   std::uint64_t after_saves = 0;
@@ -116,16 +129,21 @@ struct TaskRequest {
   WorkerLimits rlimits;
 };
 
+// The canonical text of an instance, which is also its content address
+// (ResultCache::key_for): the circuit text with its input assignment, or
+// "" for the empty instance of the GEP/GQR chain tasks, which the text
+// format cannot express ("inputs 0" is refused by the parser).
+std::string instance_text(const circuit::CvpInstance& instance);
+
 // --- payload codecs --------------------------------------------------------
 
 std::string encode_request(const TaskRequest& req);
 bool decode_request(std::string_view payload, TaskRequest& out);
 
-// Serializes the report fields that cross the process boundary: the
-// diagnostic verdict, decode data, detail strings, and the FULL pivot trace
-// (so cross-process resume equivalence is assertable event-for-event).
-// Metrics do not travel: op counters are per-process by design, and the
-// supervisor's own counters cover the worker lifecycle.
+// Serializes the report fields that cross the process boundary (their
+// field list is beside RunReport, robustness/diagnostics.h). Metrics do not
+// travel: op counters are per-process by design, and the supervisor's own
+// counters cover the worker lifecycle.
 std::string encode_result(const robustness::RunReport& rep);
 bool decode_result(std::string_view payload, robustness::RunReport& out);
 

@@ -37,6 +37,7 @@ volatile std::uintptr_t g_wild_address = 16;
       for (volatile std::uint64_t burn = 0;; ++burn) {
       }
     case KillPlan::Mode::kNone:
+    case KillPlan::Mode::kCount_:
       break;
   }
   // SIGKILL/SIGSEGV cannot return; if the kernel somehow delivered neither,

@@ -9,9 +9,9 @@
 // kMalformed — a checkpoint that decodes is canonical by construction.
 // The one-pass double encoder must write exactly the per-field bytes.
 //
-// The whole matrix runs per sparse field tag, swept through
-// all_sparse_field_tags() — pfact_lint PL011 fails the build if a
-// sparse_field_tag specialization is missing from that sweep list.
+// The whole matrix runs per sparse field tag, swept through the sparse
+// column of kFieldTagRows — a scalar field without a row there fails the
+// table's static_assert, so every field the codec knows is swept.
 
 #include <gtest/gtest.h>
 
@@ -198,16 +198,15 @@ TEST(SparseCheckpointRoundTrip, EmptyAndAllZeroMatricesSurvive) {
 }
 
 // The sweep: the entire rejection matrix for every registered sparse field
-// tag. all_sparse_field_tags() is the list PL011 ratchets — if a tag is in
-// it, this test exercised its codec.
+// tag, the sparse column of kFieldTagRows in CheckpointFields order — if a
+// tag is in it, this test exercised its codec.
 TEST(SparseCheckpointRejection, EveryRegisteredTagSurvivesTheFullMatrix) {
-  const std::vector<const char*> tags = all_sparse_field_tags();
-  ASSERT_EQ(tags.size(), 5u);
-  run_rejection_matrix<double>(tags[0]);
-  run_rejection_matrix<long double>(tags[1]);
-  run_rejection_matrix<Rational>(tags[2]);
-  run_rejection_matrix<Float53>(tags[3]);
-  run_rejection_matrix<Float24>(tags[4]);
+  ASSERT_EQ(kFieldTagRows.size(), 5u);
+  run_rejection_matrix<double>(kFieldTagRows[0].sparse);
+  run_rejection_matrix<long double>(kFieldTagRows[1].sparse);
+  run_rejection_matrix<Rational>(kFieldTagRows[2].sparse);
+  run_rejection_matrix<Float53>(kFieldTagRows[3].sparse);
+  run_rejection_matrix<Float24>(kFieldTagRows[4].sparse);
 }
 
 TEST(SparseCheckpointRejection, TagsAreTheDenseTagsWithTheSparsePrefix) {
@@ -272,10 +271,6 @@ struct SparsePayload {
 // path must match byte for byte.
 std::string assemble_blob(const SparsePayload& p) {
   detail::ByteWriter w;
-  w.put_u32(kCheckpointMagic);
-  w.put_u32(kCheckpointVersion);
-  w.put_u64(0);  // length, patched below
-  w.put_u32(0);  // crc, patched below
   w.put_string(p.algorithm);
   w.put_string(sparse_field_tag<double>());
   w.put_u32(p.strategy);
@@ -300,10 +295,13 @@ std::string assemble_blob(const SparsePayload& p) {
     w.put_u64(e.pivot_row);
     w.put_u32(static_cast<std::uint32_t>(e.action));
   }
-  const std::size_t length = w.bytes().size() - kCheckpointHeaderBytes;
-  w.patch_u64(8, length);
-  w.patch_u32(16, crc32(w.bytes().data() + kCheckpointHeaderBytes, length));
-  return w.take();
+  const std::string body = w.take();
+  detail::ByteWriter header;
+  header.put_u32(kCheckpointMagic);
+  header.put_u32(kCheckpointVersion);
+  header.put_u64(body.size());
+  header.put_u32(crc32(body.data(), body.size()));
+  return header.take() + body;
 }
 
 TEST(SparseCheckpointRejection, HandAssembledCanonicalBlobDecodes) {

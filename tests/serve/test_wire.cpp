@@ -21,7 +21,10 @@
 #include "obs/taxonomy.h"
 #include "robustness/escalation.h"
 #include "robustness/guarded_run.h"
+#include "robustness/checkpoint.h"
 #include "robustness/retry.h"
+#include "serve/frontend.h"
+#include "serve/result_cache.h"
 #include "serve/wire.h"
 
 namespace pfact::serve {
@@ -81,17 +84,6 @@ TEST(Wire, RequestRoundTripsACircuitTask) {
   EXPECT_EQ(back.kill.after_saves, req.kill.after_saves);
   EXPECT_EQ(back.rlimits.address_space_bytes, req.rlimits.address_space_bytes);
   EXPECT_EQ(back.rlimits.cpu_seconds, req.rlimits.cpu_seconds);
-
-  // Every FaultClass ordinal decodes, and the first one past the taxonomy
-  // (its kCount_) is refused as malformed.
-  constexpr std::size_t kFaults = obs::kCountOf<robustness::FaultClass>;
-  for (std::size_t i = 0; i <= kFaults; ++i) {
-    req.fault.fault = static_cast<robustness::FaultClass>(i);
-    EXPECT_EQ(decode_request(encode_request(req), back), i < kFaults) << i;
-    if (i < kFaults) {
-      EXPECT_EQ(back.fault.fault, req.fault.fault) << i;
-    }
-  }
 }
 
 TEST(Wire, RequestRoundTripsAChainTaskWithEmptyInstance) {
@@ -134,17 +126,143 @@ TEST(Wire, ResultRoundTripsAFullRealReport) {
     EXPECT_EQ(back.trace[i].pivot_row, rep.trace[i].pivot_row);
     EXPECT_EQ(back.trace[i].action, rep.trace[i].action);
   }
+}
 
-  // Every Diagnostic ordinal decodes, and the first one past the taxonomy
-  // (its kCount_) is refused as malformed.
-  constexpr std::size_t kDiagnostics = obs::kCountOf<Diagnostic>;
-  for (std::size_t i = 0; i <= kDiagnostics; ++i) {
-    RunReport r = rep;
-    r.diagnostic = static_cast<Diagnostic>(i);
-    EXPECT_EQ(decode_result(encode_result(r), back), i < kDiagnostics) << i;
-    if (i < kDiagnostics) {
-      EXPECT_EQ(back.diagnostic, r.diagnostic) << i;
+// --- enum fields ------------------------------------------------------------
+// A reader refuses an enum ordinal at or past the enum's kCount_ and takes
+// every ordinal below it, so a peer that knows more enumerators is refused,
+// never misread, and appending one needs no decoder edit.
+
+// Each ordinal of E below kCount_, set into `record` by `set`, encodes,
+// decodes and re-encodes to the same bytes; kCount_ itself is refused.
+template <class E, class R, class Set, class Encode, class Decode>
+void expect_enum_bound(const char* what, R record, Set set, Encode encode,
+                       Decode decode) {
+  constexpr std::size_t kCount = obs::kCountOf<E>;
+  for (std::size_t i = 0; i <= kCount; ++i) {
+    set(record, static_cast<E>(i));
+    const std::string bytes = encode(record);
+    R back;
+    ASSERT_EQ(decode(bytes, back), i < kCount) << what << " = " << i;
+    if (i < kCount) {
+      EXPECT_EQ(encode(back), bytes) << what << " = " << i;
     }
+  }
+}
+
+// A one-event trace whose event takes the given action.
+factor::PivotTrace trace_with(factor::PivotAction a) {
+  factor::PivotTrace t;
+  t.record({1, 2, 3, a});
+  return t;
+}
+
+TEST(Wire, EveryEnumFieldTakesEachOrdinalAndRefusesItsCount) {
+  TaskRequest req;
+  req.task = gem_xor_task();
+  const auto enc_req = [](const TaskRequest& r) { return encode_request(r); };
+  const auto dec_req = [](const std::string& b, TaskRequest& r) {
+    return decode_request(b, r);
+  };
+  expect_enum_bound<Algorithm>(
+      "request algorithm", req,
+      [](TaskRequest& r, Algorithm v) { r.task.algorithm = v; }, enc_req,
+      dec_req);
+  expect_enum_bound<robustness::Backend>(
+      "request backend", req,
+      [](TaskRequest& r, robustness::Backend v) { r.task.backend = v; },
+      enc_req, dec_req);
+  expect_enum_bound<Substrate>(
+      "request substrate", req,
+      [](TaskRequest& r, Substrate v) { r.substrate = v; }, enc_req, dec_req);
+  expect_enum_bound<robustness::FaultClass>(
+      "request fault", req,
+      [](TaskRequest& r, robustness::FaultClass v) { r.fault.fault = v; },
+      enc_req, dec_req);
+  expect_enum_bound<numeric::SoftFloatRounding>(
+      "request rounding", req,
+      [](TaskRequest& r, numeric::SoftFloatRounding v) {
+        r.fault.rounding = v;
+      },
+      enc_req, dec_req);
+  expect_enum_bound<KillPlan::Mode>(
+      "request kill mode", req,
+      [](TaskRequest& r, KillPlan::Mode v) { r.kill.mode = v; }, enc_req,
+      dec_req);
+
+  RunReport rep;
+  const auto enc_rep = [](const RunReport& r) { return encode_result(r); };
+  const auto dec_rep = [](const std::string& b, RunReport& r) {
+    return decode_result(b, r);
+  };
+  expect_enum_bound<Diagnostic>(
+      "result diagnostic", rep,
+      [](RunReport& r, Diagnostic v) { r.diagnostic = v; }, enc_rep, dec_rep);
+  expect_enum_bound<factor::PivotAction>(
+      "result trace action", rep,
+      [](RunReport& r, factor::PivotAction v) { r.trace = trace_with(v); },
+      enc_rep, dec_rep);
+
+  FrontendResponse resp;
+  const auto enc_resp = [](const FrontendResponse& r) {
+    return encode_response(r);
+  };
+  const auto dec_resp = [](const std::string& b, FrontendResponse& r) {
+    return decode_response(b, r);
+  };
+  expect_enum_bound<FrontendStatus>(
+      "response status", resp,
+      [](FrontendResponse& r, FrontendStatus v) { r.status = v; }, enc_resp,
+      dec_resp);
+  expect_enum_bound<Admission>(
+      "response admission", resp,
+      [](FrontendResponse& r, Admission v) { r.admission = v; }, enc_resp,
+      dec_resp);
+  expect_enum_bound<Substrate>(
+      "response certified_by", resp,
+      [](FrontendResponse& r, Substrate v) { r.certified_by = v; }, enc_resp,
+      dec_resp);
+  expect_enum_bound<Diagnostic>(
+      "response report diagnostic", resp,
+      [](FrontendResponse& r, Diagnostic v) { r.report.diagnostic = v; },
+      enc_resp, dec_resp);
+
+  expect_enum_bound<Substrate>(
+      "cache entry substrate", CacheEntry{},
+      [](CacheEntry& e, Substrate v) { e.substrate = v; },
+      [](const CacheEntry& e) {
+        return robustness::detail::encode_fields(e);
+      },
+      [](const std::string& b, CacheEntry& e) {
+        return robustness::detail::decode_fields(b, e);
+      });
+
+  robustness::FactorCheckpoint<double> ckpt;
+  ckpt.algorithm = "GEM";
+  ckpt.matrix = Matrix<double>(2, 2);
+  expect_enum_bound<factor::PivotAction>(
+      "checkpoint trace action", ckpt,
+      [](robustness::FactorCheckpoint<double>& c, factor::PivotAction v) {
+        c.trace = trace_with(v);
+      },
+      [](const robustness::FactorCheckpoint<double>& c) {
+        return robustness::encode_checkpoint(c);
+      },
+      [](const std::string& b, robustness::FactorCheckpoint<double>& c) {
+        return robustness::decode_checkpoint(b, c) ==
+               robustness::CheckpointStatus::kOk;
+      });
+
+  // Frame types start at 1: ordinal 0 is no type, and neither is kCount_.
+  for (std::size_t i = 0; i <= obs::kCountOf<FrameType>; ++i) {
+    FrameHeader h;
+    const std::string bytes =
+        frame_bytes(static_cast<FrameType>(i), "payload").substr(
+            0, kFrameHeaderBytes);
+    EXPECT_EQ(parse_frame_header(bytes, h),
+              i != 0 && i < obs::kCountOf<FrameType> ? WireStatus::kOk
+                                                     : WireStatus::kBadType)
+        << "frame type = " << i;
   }
 }
 

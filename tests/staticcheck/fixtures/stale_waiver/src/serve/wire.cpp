@@ -5,35 +5,6 @@
 
 namespace pfact::serve {
 
-void encode_frame(ByteWriter& w, const Frame& f) {
-  w.put_u32(kFrameMagic);
-  if (f.rows.empty()) {
-    w.put_string(std::string());
-  } else {
-    w.put_string(join_rows(f.rows));
-  }
-  w.put_u64(f.steps);
-  for (const Event& e : f.events) {
-    w.put_u64(e.column);
-    w.put_u32(e.action);
-  }
-  w.put_bytes(f.payload.data(), f.payload.size());
-}
-
-bool decode_frame(ByteReader& r, Frame& out) {
-  if (r.get_u32() != kFrameMagic) return false;
-  out.rows = split_rows(r.get_string());
-  out.steps = r.get_u64();
-  for (std::uint64_t i = 0; i < out.steps; ++i) {
-    Event e;
-    e.column = r.get_u64();
-    if (!to_action(r.get_u32(), e.action)) return false;
-    out.events.push_back(e);
-  }
-  out.payload = r.rest();
-  return true;
-}
-
 bool read_exact(Buffer& in, char* dst, std::size_t n) {
   if (in.size() < n) return false;
   std::memcpy(dst, in.data(), n);

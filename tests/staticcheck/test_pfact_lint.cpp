@@ -7,8 +7,9 @@
 //
 // The binary is exercised as a subprocess (not a linked library) because
 // the exit status IS part of the contract: CI gates on it. The taxonomy-gap
-// tests at the end run the compiler as a subprocess the same way: the gaps
-// the retired taxonomy rules reported are compile errors now.
+// and checkpoint-schema tests at the end run the compiler as a subprocess
+// the same way: the gaps the retired taxonomy and checkpoint rules reported
+// are compile errors now. The retired codec rule's tests pin golden bytes.
 
 #include <gtest/gtest.h>
 
@@ -19,12 +20,20 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <string>
 #include <system_error>
 #include <utility>
 #include <vector>
 
 #include <unistd.h>
+
+#include "circuit/builders.h"
+#include "matrix/sparse.h"
+#include "robustness/checkpoint.h"
+#include "serve/frontend.h"
+#include "serve/result_cache.h"
+#include "serve/wire.h"
 
 namespace {
 
@@ -90,17 +99,6 @@ fs::path materialize(const std::string& overlay) {
   return dst;
 }
 
-void expect_violation(const std::string& overlay, const std::string& rule,
-                      const std::string& symbol) {
-  const fs::path root = materialize(overlay);
-  const RunResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find(rule), std::string::npos)
-      << "expected " << rule << " in:\n" << res.output;
-  EXPECT_NE(res.output.find(symbol), std::string::npos)
-      << "expected mention of " << symbol << " in:\n" << res.output;
-}
-
 TEST(PfactLint, CleanFixturePasses) {
   const fs::path root = materialize("base");
   const RunResult res = run_lint("--root " + root.string());
@@ -112,79 +110,6 @@ TEST(PfactLint, CleanFixturePasses) {
 TEST(PfactLint, RepositoryHeadIsClean) {
   const RunResult res = run_lint(std::string("--root ") + PFACT_REPO_ROOT);
   EXPECT_EQ(res.exit_code, 0) << res.output;
-}
-
-TEST(PfactLint, DuplicateCheckpointTagFailsPL006) {
-  const fs::path root = materialize("duplicate_checkpoint_tag");
-  const RunResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL006"), std::string::npos) << res.output;
-  // The duplicate fires alone: the fixture manifest matches the duplicated
-  // tag multiset, so no version/manifest rule piggybacks on the finding.
-  EXPECT_EQ(res.output.find("PL007"), std::string::npos) << res.output;
-  EXPECT_EQ(res.output.find("PL008"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, StaleVersionFailsPL007) {
-  expect_violation("stale_version", "PL007", "long-double");
-}
-
-TEST(PfactLint, OutdatedManifestFailsPL008) {
-  expect_violation("outdated_manifest", "PL008", "--update-manifest");
-}
-
-TEST(PfactLint, UnsweptSparseTagFailsPL011) {
-  const fs::path root = materialize("unswept_sparse_tag");
-  const RunResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL011"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("sparse_field_tag<float>"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("all_sparse_field_tags"), std::string::npos)
-      << res.output;
-  // The tag is lawfully named and the tag set matches the manifest, so the
-  // sweep gap is the only finding.
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, OrphanSparseTagFailsPL011) {
-  const fs::path root = materialize("orphan_sparse_tag");
-  const RunResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL011"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("sparse_field_tag<int>"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("field_tag<int>"), std::string::npos)
-      << res.output;
-  // The fixture manifest includes sparse-int and the orphan is swept, so
-  // the missing dense counterpart is the only finding.
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, CodecWidthMismatchFailsPL013) {
-  const fs::path root = materialize("codec_width_mismatch");
-  const RunResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL013"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("encode_frame/decode_frame"), std::string::npos)
-      << res.output;
-  EXPECT_NE(res.output.find("encoder puts 'u64' but decoder reads 'u32'"),
-            std::string::npos)
-      << res.output;
-  // The rest of the pair mirrors, so the width flip is the only finding.
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-TEST(PfactLint, CodecUnpairedFieldFailsPL013) {
-  const fs::path root = materialize("codec_unpaired_field");
-  const RunResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("PL013"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("unpaired trailing 'u64'"), std::string::npos)
-      << res.output;
-  // The extra field sits BEFORE the payload trailer, so the trailer idiom
-  // must not excuse it.
-  EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
 }
 
 TEST(PfactLint, UndeadlinedReadFailsPL014) {
@@ -303,18 +228,6 @@ TEST(PfactLint, StaleBackoffWaiverFailsPL018) {
   // The fixture client.cpp has neither raw syscalls nor the PL014-waived
   // functions, so the stale PL018 entry is the only finding.
   EXPECT_NE(res.output.find("1 finding(s)"), std::string::npos) << res.output;
-}
-
-// --update-manifest is the sanctioned way out of PL007/PL008: after a
-// legitimate schema change plus version bump, regenerating the manifest
-// returns the tree to clean.
-TEST(PfactLint, UpdateManifestRepairsOutdatedManifest) {
-  const fs::path root = materialize("outdated_manifest");
-  const RunResult regen =
-      run_lint("--root " + root.string() + " --update-manifest");
-  EXPECT_EQ(regen.exit_code, 0) << regen.output;
-  const RunResult res = run_lint("--root " + root.string());
-  EXPECT_EQ(res.exit_code, 0) << res.output;
 }
 
 TEST(PfactLint, MissingRootIsAUsageError) {
@@ -586,6 +499,320 @@ TEST(PfactLint, UncountedRouterStatusFailsPL019) {
                        {drop_last_column("RouterStatus::kBrownoutShed")},
                        "serve/router.h"),
       "serve/router.h");
+}
+
+// --- Checkpoint schema gaps, now compile errors -----------------------------
+// PL006, PL007, PL008 and PL011 scraped src/robustness/checkpoint.h and
+// compared it with a committed manifest. The field tags are now one row
+// per scalar field under static_assert(is_tag_table(kFieldTagRows)), and
+// the version ratchet is the kCheckpointSchemaRows table under
+// static_assert(schema_row_matches(...)). These tests keep the rules'
+// names and seed each gap into a copy of the real header.
+
+// The PFCK schema ratchet fails the build: `what` is the static_assert.
+void expect_schema_assert(const RunResult& res, const std::string& what) {
+  EXPECT_EQ(res.exit_code, 1) << res.output;
+  EXPECT_NE(res.output.find("static assertion failed"), std::string::npos)
+      << res.output;
+  EXPECT_NE(res.output.find(what), std::string::npos)
+      << "expected " << what << " in:\n" << res.output;
+}
+
+RunResult compile_checkpoint_gap(const std::vector<Edit>& edits) {
+  return compile_with_gap("robustness/checkpoint.h", edits,
+                          "robustness/checkpoint.h");
+}
+
+// The row for version 2, as committed: the fingerprint of today's table.
+std::string committed_schema_row() {
+  std::ifstream in(fs::path(PFACT_REPO_ROOT) / "src" / "robustness" /
+                   "checkpoint.h");
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::size_t at = text.find("    {2, 0x");
+  if (at == std::string::npos) return "";
+  return text.substr(at, text.find('}', at) - at + 1);
+}
+
+// softfloat24 reuses softfloat53's tags.
+TEST(PfactLint, DuplicateCheckpointTagFailsPL006) {
+  expect_schema_assert(
+      compile_checkpoint_gap({replace_after(
+          "kFieldTagRows", "{\"softfloat24\", \"sparse-softfloat24\"}",
+          "{\"softfloat53\", \"sparse-softfloat53\"}")}),
+      "is_tag_table(kFieldTagRows)");
+}
+
+// long double's tags are renamed and kCheckpointVersion stays at 2.
+TEST(PfactLint, StaleVersionFailsPL007) {
+  expect_schema_assert(
+      compile_checkpoint_gap({replace_after(
+          "kFieldTagRows", "{\"long-double\", \"sparse-long-double\"}",
+          "{\"extended\", \"sparse-extended\"}")}),
+      "schema_row_matches");
+}
+
+// kCheckpointVersion is bumped, but kCheckpointSchemaRows has no row for 3.
+TEST(PfactLint, OutdatedManifestFailsPL008) {
+  expect_schema_assert(
+      compile_checkpoint_gap({replace_after(
+          "", "kCheckpointVersion = 2;", "kCheckpointVersion = 3;")}),
+      "schema_row_matches");
+}
+
+// The same bump with its row compiles: the sanctioned way to change the
+// format.
+TEST(PfactLint, SchemaRowRepairsVersionBumpPL008) {
+  const std::string row = committed_schema_row();
+  ASSERT_FALSE(row.empty());
+  std::string next = row;
+  next.replace(next.find("{2,"), 3, "{3,");
+  const RunResult res = compile_checkpoint_gap(
+      {replace_after("", "kCheckpointVersion = 2;", "kCheckpointVersion = 3;"),
+       replace_after("kCheckpointSchemaRows", row, row + ",\n" + next)});
+  EXPECT_EQ(res.exit_code, 0) << res.output;
+}
+
+// double's sparse tag breaks the "sparse-" + dense naming law.
+TEST(PfactLint, OrphanSparseTagFailsPL011) {
+  expect_schema_assert(
+      compile_checkpoint_gap({replace_after(
+          "kFieldTagRows", "\"sparse-double\"", "\"csr-double\"")}),
+      "is_tag_table(kFieldTagRows)");
+}
+
+// float gets a scalar codec and joins the checkpoint fields, but no tag
+// row: its row of the table is left empty.
+TEST(PfactLint, UnsweptSparseTagFailsPL011) {
+  expect_schema_assert(
+      compile_checkpoint_gap(
+          {replace_after("using CheckpointFields", "numeric::Float24>",
+                         "numeric::Float24, float>"),
+           replace_after("struct ScalarCodec;", "\n",
+                         "\ntemplate <>\nstruct ScalarCodec<float> {\n"
+                         "  static void encode(ByteWriter& w, const float& v) "
+                         "{ w.put_u32(std::bit_cast<std::uint32_t>(v)); }\n"
+                         "  static void decode(ByteReader& r, float& v) "
+                         "{ v = std::bit_cast<float>(r.get_u32()); }\n};\n")}),
+      "is_tag_table(kFieldTagRows)");
+}
+
+// --- Codec symmetry, now golden bytes ----------------------------------------
+// PL013 checked that each hand-written encoder and decoder put and got the
+// same fields. Each record is now one field list run both ways (src/
+// robustness/fields.h), so that pair cannot disagree; what can still drift
+// is the list itself. golden_records.txt holds the bytes of one sample of
+// every PFRM payload and PFCK blob type as the hand-paired encoders wrote
+// them. A width flip, a dropped or an added field changes those bytes.
+
+pfact::factor::PivotTrace sample_trace() {
+  using pfact::factor::PivotAction;
+  pfact::factor::PivotTrace t;
+  t.record({0, 0, 0, PivotAction::kKeep});
+  t.record({1, 3, 4, PivotAction::kSwap});
+  t.record({2, 2, 1, PivotAction::kShift});
+  t.record({3, 3, 3, PivotAction::kSkip});
+  return t;
+}
+
+pfact::robustness::RunReport sample_report() {
+  pfact::robustness::RunReport rep;
+  rep.diagnostic = pfact::robustness::Diagnostic::kOk;
+  rep.value = true;
+  rep.algorithm = "GEMS";
+  rep.order = 17;
+  rep.decoded_entry = -0.375;
+  rep.steps_used = 12;
+  rep.offending_col = 5;
+  rep.detail = "detail text";
+  rep.pivot_excerpt = "4 events";
+  rep.injection = "none";
+  rep.trace = sample_trace();
+  return rep;
+}
+
+// One encoder and one decoder per golden line, over one sample record.
+struct GoldenRecord {
+  std::string name;
+  std::function<std::string()> encode;
+  // Decodes the bytes and encodes what came out.
+  std::function<bool(const std::string&, std::string&)> round_trip;
+};
+
+template <class R>
+GoldenRecord golden(std::string name, R sample,
+                    std::function<std::string(const R&)> encode,
+                    std::function<bool(std::string_view, R&)> decode) {
+  return {std::move(name), [=] { return encode(sample); },
+          [=](const std::string& bytes, std::string& again) {
+            R back;
+            if (!decode(bytes, back)) return false;
+            again = encode(back);
+            return true;
+          }};
+}
+
+template <class Storage>
+GoldenRecord golden_blob(std::string name,
+                         pfact::robustness::StorageCheckpoint<Storage> c) {
+  using namespace pfact::robustness;
+  return golden<StorageCheckpoint<Storage>>(
+      std::move(name), std::move(c),
+      [](const StorageCheckpoint<Storage>& r) { return encode_checkpoint(r); },
+      [](std::string_view b, StorageCheckpoint<Storage>& r) {
+        return decode_storage_checkpoint(b, r) == CheckpointStatus::kOk;
+      });
+}
+
+std::vector<GoldenRecord> golden_records() {
+  namespace rb = pfact::robustness;
+  namespace sv = pfact::serve;
+  sv::TaskRequest req;
+  req.task.algorithm = rb::Algorithm::kGems;
+  req.task.instance =
+      pfact::circuit::CvpInstance{pfact::circuit::xor_circuit(), {true, false}};
+  req.task.u = 2;
+  req.task.w = -1;
+  req.task.depth = 9;
+  req.task.backend = rb::Backend::kSparse;
+  req.substrate = rb::Substrate::kSoftFloat53;
+  req.limits.max_steps = 77;
+  req.limits.timeout = std::chrono::milliseconds(1234);
+  req.limits.max_order = 4096;
+  req.limits.decode_tolerance = 1e-9;
+  req.checkpoint_every = 3;
+  req.resume_step = 42;
+  req.resume_blob = "resume";
+  req.fault.fault = rb::FaultClass::kTornWrite;
+  req.fault.seed = 17;
+  req.fault.rounding = pfact::numeric::SoftFloatRounding::kTowardZero;
+  req.kill.mode = sv::KillPlan::Mode::kSigsegv;
+  req.kill.after_saves = 5;
+  req.rlimits.address_space_bytes = 1u << 30;
+  req.rlimits.cpu_seconds = 9;
+
+  sv::TaskRequest chain;
+  chain.task.algorithm = rb::Algorithm::kGqr;
+  chain.task.u = 1;
+  chain.task.w = -1;
+  chain.task.depth = 6;
+  chain.kill.mode = sv::KillPlan::Mode::kSpin;
+
+  sv::FrontendResponse resp;
+  resp.status = sv::FrontendStatus::kAccepted;
+  resp.admission = sv::Admission::kAccepted;
+  resp.from_cache = true;
+  resp.certified = true;
+  resp.value = false;
+  resp.certified_by = rb::Substrate::kRational;
+  resp.report = sample_report();
+
+  rb::FactorCheckpoint<double> dense;
+  dense.algorithm = "GEM";
+  dense.strategy = 1;
+  dense.next_step = 2;
+  dense.matrix = pfact::Matrix<double>(3, 3);
+  for (std::size_t i = 0; i < 3; ++i)
+    for (std::size_t j = 0; j < 3; ++j)
+      dense.matrix(i, j) = 0.5 * static_cast<double>(i) -
+                           1.25 * static_cast<double>(j);
+  dense.has_perm = true;
+  dense.perm = pfact::Permutation(std::vector<std::size_t>{2, 0, 1});
+  dense.trace = sample_trace();
+  const std::string dense_blob = rb::encode_checkpoint(dense);
+
+  pfact::sparse::TripletBuilder<double> tb(4, 5);
+  tb.add(0, 1, 2.5);
+  tb.add(0, 4, -1.0);
+  tb.add(2, 0, 0.125);
+  tb.add(3, 3, 7.0);
+  rb::StorageCheckpoint<pfact::sparse::SparseMatrix<double>> sparse;
+  sparse.algorithm = "GEMS";
+  sparse.strategy = 2;
+  sparse.next_step = 1;
+  sparse.matrix = pfact::sparse::SparseMatrix<double>(tb.build());
+  sparse.trace = sample_trace();
+
+  struct Frame {
+    std::uint64_t step = 0;
+    std::string blob;
+  };
+
+  sv::CacheEntry entry;
+  entry.value = true;
+  entry.substrate = rb::Substrate::kSoftFloat53;
+  entry.final_checkpoint = dense_blob;
+
+  return {
+      golden<sv::TaskRequest>("request_circuit", req, sv::encode_request,
+                              sv::decode_request),
+      golden<sv::TaskRequest>("request_empty", chain, sv::encode_request,
+                              sv::decode_request),
+      golden<rb::RunReport>("result", sample_report(), sv::encode_result,
+                            sv::decode_result),
+      golden<sv::FrontendResponse>("response", resp, sv::encode_response,
+                                   sv::decode_response),
+      golden_blob("pfck_dense_double", dense),
+      golden_blob("pfck_sparse_double", sparse),
+      golden<Frame>(
+          "checkpoint_frame", Frame{7, dense_blob},
+          [](const Frame& f) {
+            return sv::encode_checkpoint_frame(f.step, f.blob);
+          },
+          [](std::string_view b, Frame& f) {
+            return sv::decode_checkpoint_frame(b, f.step, f.blob);
+          }),
+      golden<sv::CacheEntry>(
+          "cache_entry", entry,
+          [](const sv::CacheEntry& e) {
+            return rb::detail::encode_fields(e);
+          },
+          [](std::string_view b, sv::CacheEntry& e) {
+            return rb::detail::decode_fields(b, e);
+          }),
+  };
+}
+
+// name -> bytes, from tests/staticcheck/golden_records.txt.
+std::map<std::string, std::string> committed_goldens() {
+  std::map<std::string, std::string> out;
+  std::ifstream in(fs::path(PFACT_REPO_ROOT) / "tests" / "staticcheck" /
+                   "golden_records.txt");
+  std::string name, hex;
+  while (in >> name) {
+    if (name[0] == '#') {
+      std::getline(in, hex);
+      continue;
+    }
+    in >> hex;
+    std::string bytes;
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+      bytes += static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16));
+    out[name] = bytes;
+  }
+  return out;
+}
+
+// Each record type writes exactly the committed bytes.
+TEST(PfactLint, CodecWidthMismatchFailsPL013) {
+  const auto goldens = committed_goldens();
+  const auto records = golden_records();
+  ASSERT_EQ(goldens.size(), records.size());
+  for (const GoldenRecord& r : records) {
+    ASSERT_EQ(goldens.count(r.name), 1u) << r.name;
+    EXPECT_EQ(r.encode(), goldens.at(r.name)) << r.name;
+  }
+}
+
+// Each record type reads the committed bytes to their end and writes back
+// the same bytes.
+TEST(PfactLint, CodecUnpairedFieldFailsPL013) {
+  const auto goldens = committed_goldens();
+  for (const GoldenRecord& r : golden_records()) {
+    std::string again;
+    ASSERT_TRUE(r.round_trip(goldens.at(r.name), again)) << r.name;
+    EXPECT_EQ(again, goldens.at(r.name)) << r.name;
+  }
 }
 
 }  // namespace

@@ -5,15 +5,6 @@
 
 namespace pfact_lint {
 
-// rules_checkpoint.cpp — the PFCK schema ratchet.
-void check_tag_uniqueness(Context& ctx, const CheckpointSchema& s);  // PL006
-void check_sparse_tags(Context& ctx);                                // PL011
-void check_manifest(Context& ctx, const CheckpointSchema& s,
-                    const std::string& manifest_path);  // PL007 PL008
-
-// rules_codec.cpp — PL013 codec-asymmetry.
-void check_codec_symmetry(Context& ctx);
-
 // rules_io.cpp — PL014 blocking-call-undeadlined.
 void check_blocking_io(Context& ctx);
 

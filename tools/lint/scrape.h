@@ -1,5 +1,5 @@
 #pragma once
-// House-style source scrapers — the line/regex layer under PL011 and PL017.
+// House-style source scrapers — the line/regex layer under PL017.
 //
 // These parse the repo's own house style (clang-format'd, one enumerator per
 // line), not arbitrary C++. That trade is deliberate: the checked files are
@@ -16,14 +16,5 @@ namespace pfact_lint {
 // kCount_ sentinel.
 std::vector<std::string> parse_enum(const std::string& src,
                                     const std::string& name);
-
-// The brace-matched body of the function named `name`: the text between the
-// '{' that opens its definition and the matching '}'. A definition site is
-// an occurrence of `name` that is a whole token, is followed by '(', and
-// reaches a '{' before any ';' (which would make it a declaration or a
-// call). Empty when no such body is found. String/char literals in the
-// checked files never contain braces, so plain counting is sufficient (the
-// fixtures pin this).
-std::string function_body(const std::string& src, const std::string& name);
 
 }  // namespace pfact_lint

@@ -298,14 +298,6 @@ const SourceFile::Func* SourceFile::find_func(const std::string& name) const {
   return nullptr;
 }
 
-std::size_t SourceFile::func_count(const std::string& name) const {
-  std::size_t n = 0;
-  for (const Func& f : funcs) {
-    if (f.name == name) ++n;
-  }
-  return n;
-}
-
 namespace {
 
 std::string slurp(const std::filesystem::path& p) {

@@ -10,10 +10,10 @@
 // friends) remain visible to rules.
 //
 // Two views of every file are maintained:
-//   * tokens  — the token stream, for structural rules (PL013–PL017)
+//   * tokens  — the token stream, for structural rules (PL014–PL018)
 //   * scrub   — the raw text with comments blanked to spaces (newlines and
-//               string literals preserved), for the line-oriented scrapers
-//               of the checkpoint and counter rules (see scrape.h)
+//               string literals preserved), for the regex scans of the
+//               counter and signal rules (see scrape.h)
 //
 // Nothing here links against the pfact library: the linter reads the tree
 // as text, so it runs on fixture trees that could never compile.
@@ -75,10 +75,6 @@ struct SourceFile {
 
   // First function with this terminal name, or nullptr.
   const Func* find_func(const std::string& name) const;
-  // How many definitions share this terminal name (overloads, template
-  // specializations). Rules that pair bodies one-to-one skip names with
-  // multiple definitions.
-  std::size_t func_count(const std::string& name) const;
 };
 
 // Tokenizes `text` into `out` (tokens, scrub, includes, funcs).

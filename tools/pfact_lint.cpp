@@ -6,14 +6,13 @@
 // working even when the tree under inspection does not compile — which is
 // exactly when a structural linter earns its keep.
 //
-//   pfact_lint --root <repo-root> [--manifest <file>] [--json]
-//   pfact_lint --root <repo-root> --update-manifest
+//   pfact_lint --root <repo-root> [--json]
 //   pfact_lint --list-rules
 //
 // Exit codes (aligned with pfact_soak): 0 clean, 1 findings, 2 usage or
 // I/O error. Text findings print one per line:
 //
-//   pfact_lint: PL008 checkpoint-manifest-outdated: <message>     (tree-wide)
+//   pfact_lint: PL017 counter-dead: <message>                     (tree-wide)
 //   pfact_lint: src/a/b.cpp:17: PL014 blocking-call-undeadlined: <message>
 //
 // The located form matches the GitHub problem matcher committed under
@@ -29,8 +28,8 @@
 namespace {
 
 int usage() {
-  std::cerr << "usage: pfact_lint --root <repo-root> [--manifest <file>] "
-               "[--json] [--update-manifest] | --list-rules\n";
+  std::cerr << "usage: pfact_lint --root <repo-root> [--json] | "
+               "--list-rules\n";
   return 2;
 }
 
@@ -69,18 +68,12 @@ void print_json(const pfact_lint::Context& ctx, const std::string& root) {
 
 int main(int argc, char** argv) {
   std::string root;
-  std::string manifest_path;
-  bool update_manifest = false;
   bool json = false;
   bool list_rules = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
       root = argv[++i];
-    } else if (arg == "--manifest" && i + 1 < argc) {
-      manifest_path = argv[++i];
-    } else if (arg == "--update-manifest") {
-      update_manifest = true;
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--list-rules") {
@@ -100,31 +93,11 @@ int main(int argc, char** argv) {
     std::cerr << "pfact_lint: --root is required\n";
     return 2;
   }
-  if (manifest_path.empty()) {
-    manifest_path = root + "/tools/pfact_lint_manifest.txt";
-  }
-
   const pfact_lint::SourceTree tree = pfact_lint::SourceTree::load(root);
   pfact_lint::Context ctx(tree);
 
-  if (update_manifest) {
-    const pfact_lint::CheckpointSchema schema =
-        pfact_lint::parse_checkpoint_schema(ctx);
-    if (schema.tags.empty() || !schema.version.has_value()) {
-      std::cerr << "pfact_lint: cannot regenerate manifest — no checkpoint "
-                   "schema parsed from src/robustness/checkpoint.h\n";
-      return 2;
-    }
-    if (!pfact_lint::write_manifest(manifest_path, schema)) {
-      std::cerr << "pfact_lint: cannot write " << manifest_path << "\n";
-      return 2;
-    }
-    std::cout << "pfact_lint: wrote " << manifest_path << "\n";
-    return 0;
-  }
-
-  pfact_lint::run_all_rules(ctx, manifest_path);
-  if (tree.io_error || ctx.io_error) return 2;
+  pfact_lint::run_all_rules(ctx);
+  if (tree.io_error) return 2;
 
   if (json) {
     print_json(ctx, root);

@@ -816,14 +816,8 @@ bool write_all(int fd, const char* data, std::size_t n) {
 std::string raw_request_frame(const ReductionTask& task) {
   serve::TaskRequest req;
   req.task = task;
-  const std::string payload = serve::encode_request(req);
-  robustness::detail::ByteWriter w;
-  w.put_u32(serve::kFrameMagic);
-  w.put_u8(static_cast<std::uint8_t>(serve::FrameType::kRequest));
-  w.put_u64(payload.size());
-  w.put_u32(robustness::crc32(payload.data(), payload.size()));
-  w.put_bytes(payload.data(), payload.size());
-  return w.take();
+  return serve::frame_bytes(serve::FrameType::kRequest,
+                            serve::encode_request(req));
 }
 
 bool wait_until(const std::function<bool()>& cond,
