@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,16 +19,24 @@
 namespace pfact {
 
 // The two dense row kernels every factorization shares: the elimination
-// update and the Givens rotation. Both run over __restrict row pointers and
-// are unrolled two wide, which GCC's -O2 vectorizer turns into packed
-// double arithmetic. Each element still gets exactly the scalar expression
-// written here, so the result is bit-identical to a plain loop over any
-// field. The rows must not overlap, and the scalars must not live in them.
+// update and the Givens rotation. Each element gets exactly the scalar
+// expression written in the portable loops below: a separate multiply,
+// then an add or subtract, never fused (pfact compiles with
+// -ffp-contract=off). So every path is bit-identical to a plain loop over
+// any field, up to the payload of a NaN. The rows must not overlap, and
+// the scalars must not live in them.
 
-// dst[t] -= f * src[t] for t in [0, len).
+namespace detail {
+
+// The portable loops: __restrict row pointers, unrolled two wide, which
+// GCC's -O2 vectorizer turns into packed double arithmetic. They are the
+// only path for every field but double, the double path off x86-64 and on
+// CPUs without AVX-512F, and the reference the AVX-512F kernels
+// (matrix/row_kernels.h) are tested against.
+
 template <class T>
-void axpy_row(T* __restrict dst, const T* __restrict src, const T& f,
-              std::size_t len) {
+void axpy_row_portable(T* __restrict dst, const T* __restrict src,
+                       const T& f, std::size_t len) {
   std::size_t t = 0;
   for (; t + 2 <= len; t += 2) {
     dst[t] -= f * src[t];
@@ -36,11 +45,9 @@ void axpy_row(T* __restrict dst, const T* __restrict src, const T& f,
   if (t < len) dst[t] -= f * src[t];
 }
 
-// (x[t], y[t]) <- (c x[t] + s y[t], c y[t] - s x[t]) for t in [0, len),
-// each pair computed from the old values.
 template <class T>
-void rotate_row_pair(T* __restrict x, T* __restrict y, const T& c,
-                     const T& s, std::size_t len) {
+void rotate_row_pair_portable(T* __restrict x, T* __restrict y, const T& c,
+                              const T& s, std::size_t len) {
   std::size_t t = 0;
   for (; t + 2 <= len; t += 2) {
     const T x0 = x[t], x1 = x[t + 1];
@@ -54,6 +61,38 @@ void rotate_row_pair(T* __restrict x, T* __restrict y, const T& c,
     const T x0 = x[t], y0 = y[t];
     x[t] = c * x0 + s * y0;
     y[t] = c * y0 - s * x0;
+  }
+}
+
+// The double rows: an eight-wide AVX-512F kernel where CPUID reports
+// AVX-512F, else the portable loop; chosen once (matrix/row_kernels.cpp).
+void axpy_row_double(double* __restrict dst, const double* __restrict src,
+                     double f, std::size_t len);
+void rotate_row_pair_double(double* __restrict x, double* __restrict y,
+                            double c, double s, std::size_t len);
+
+}  // namespace detail
+
+// dst[t] -= f * src[t] for t in [0, len).
+template <class T>
+void axpy_row(T* __restrict dst, const T* __restrict src, const T& f,
+              std::size_t len) {
+  if constexpr (std::is_same_v<T, double>) {
+    detail::axpy_row_double(dst, src, f, len);
+  } else {
+    detail::axpy_row_portable(dst, src, f, len);
+  }
+}
+
+// (x[t], y[t]) <- (c x[t] + s y[t], c y[t] - s x[t]) for t in [0, len),
+// each pair computed from the old values.
+template <class T>
+void rotate_row_pair(T* __restrict x, T* __restrict y, const T& c,
+                     const T& s, std::size_t len) {
+  if constexpr (std::is_same_v<T, double>) {
+    detail::rotate_row_pair_double(x, y, c, s, len);
+  } else {
+    detail::rotate_row_pair_portable(x, y, c, s, len);
   }
 }
 

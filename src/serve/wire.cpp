@@ -128,26 +128,21 @@ bool decode_checkpoint_frame(std::string_view payload, std::uint64_t& step,
   return true;
 }
 
-std::string frame_bytes(FrameType type, std::string_view payload) {
-  robustness::detail::ByteWriter w;
-  w.reserve(kFrameHeaderBytes + payload.size());
-  robustness::detail::write_fields(
-      w, FrameHeader{kFrameMagic, type, payload.size(),
-                     robustness::crc32(payload.data(), payload.size())});
-  w.put_bytes(payload.data(), payload.size());
+namespace {
+
+// The frame of the payload that `w` holds behind kFrameHeaderBytes of
+// room: fills in the header, whose length and CRC need the payload first.
+std::string seal_frame(robustness::detail::ByteWriter& w, FrameType type) {
+  const std::string_view payload =
+      std::string_view(w.bytes()).substr(kFrameHeaderBytes);
+  const FrameHeader h{kFrameMagic, type, payload.size(),
+                      robustness::crc32(payload.data(), payload.size())};
+  w.overwrite(0, robustness::detail::encode_fields(h));
   return w.take();
 }
 
-WireStatus parse_frame_header(std::string_view bytes, FrameHeader& h) {
-  robustness::detail::ByteReader r(bytes);
-  fields(r, h);  // in place: the magic is read even when the type is refused
-  if (h.magic != kFrameMagic) return WireStatus::kBadMagic;
-  if (!r.ok() || h.type == FrameType{}) return WireStatus::kBadType;
-  return h.length > kMaxFramePayload ? WireStatus::kMalformed : WireStatus::kOk;
-}
-
-WireStatus write_frame(int fd, FrameType type, std::string_view payload) {
-  const std::string frame = frame_bytes(type, payload);
+// Writes one complete frame; retries short writes and EINTR.
+WireStatus write_frame(int fd, std::string_view frame) {
   std::size_t off = 0;
   while (off < frame.size()) {
     const ssize_t n = ::write(fd, frame.data() + off, frame.size() - off);
@@ -162,6 +157,37 @@ WireStatus write_frame(int fd, FrameType type, std::string_view payload) {
     off += static_cast<std::size_t>(n);
   }
   return WireStatus::kOk;
+}
+
+}  // namespace
+
+std::string frame_bytes(FrameType type, std::string_view payload) {
+  robustness::detail::ByteWriter w;
+  w.reserve(kFrameHeaderBytes + payload.size());
+  w.extend(kFrameHeaderBytes);
+  w.put_bytes(payload.data(), payload.size());
+  return seal_frame(w, type);
+}
+
+WireStatus parse_frame_header(std::string_view bytes, FrameHeader& h) {
+  robustness::detail::ByteReader r(bytes);
+  fields(r, h);  // in place: the magic is read even when the type is refused
+  if (h.magic != kFrameMagic) return WireStatus::kBadMagic;
+  if (!r.ok() || h.type == FrameType{}) return WireStatus::kBadType;
+  return h.length > kMaxFramePayload ? WireStatus::kMalformed : WireStatus::kOk;
+}
+
+WireStatus write_frame(int fd, FrameType type, std::string_view payload) {
+  return write_frame(fd, frame_bytes(type, payload));
+}
+
+WireStatus write_checkpoint_frame(int fd, std::uint64_t step,
+                                  std::string_view blob) {
+  robustness::detail::ByteWriter w;
+  w.reserve(kFrameHeaderBytes + sizeof step + blob.size());
+  w.extend(kFrameHeaderBytes);
+  robustness::detail::write_fields(w, CheckpointFrame{step, blob});
+  return write_frame(fd, seal_frame(w, FrameType::kCheckpoint));
 }
 
 namespace {

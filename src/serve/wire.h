@@ -157,6 +157,12 @@ bool decode_checkpoint_frame(std::string_view payload, std::uint64_t& step,
 // EPIPE/ECONNRESET (the reader died) — callers must have SIGPIPE ignored.
 WireStatus write_frame(int fd, FrameType type, std::string_view payload);
 
+// Writes the bytes of write_frame(fd, FrameType::kCheckpoint,
+// encode_checkpoint_frame(step, blob)), copying the blob once, not twice:
+// the payload is built in place behind the header.
+WireStatus write_checkpoint_frame(int fd, std::uint64_t step,
+                                  std::string_view blob);
+
 // Reads one complete frame, polling against `deadline` (zero-duration
 // deadline = block indefinitely). Returns kEof only on a clean boundary;
 // a stream that dies mid-frame is kTruncated.

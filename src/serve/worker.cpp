@@ -34,7 +34,8 @@ volatile std::uintptr_t g_wild_address = 16;
     case KillPlan::Mode::kExit:
       ::_exit(kKillPlanExitCode);
     case KillPlan::Mode::kSpin:
-      for (volatile std::uint64_t burn = 0;; ++burn) {
+      for (volatile std::uint64_t burn = 0;;) {
+        burn = burn + 1;
       }
     case KillPlan::Mode::kNone:
     case KillPlan::Mode::kCount_:
@@ -97,8 +98,7 @@ int run_one_request(TaskRequest req, int response_fd) {
     // Stream the frame FIRST, then (maybe) die: a kill "after save j"
     // guarantees the supervisor holds save j, which is what makes the
     // kill-at-every-boundary equivalence suite deterministic.
-    write_frame(response_fd, FrameType::kCheckpoint,
-                encode_checkpoint_frame(step, blob));
+    write_checkpoint_frame(response_fd, step, blob);
     ++saves_shipped;
     // The hook files this blob right after we return; dropping the older
     // ones lets it reuse their pages instead of faulting in fresh ones.

@@ -101,7 +101,8 @@ TEST(CircuitIo, AcceptsCrlfLineEndings) {
 TEST(CircuitIo, EmptyFileErrorNamesARealLine) {
   // An empty file never increments the line counter; the message used to
   // say "line 0", which names no line a user can look at.
-  for (const std::string text : {std::string(""), std::string("\n\n# c\n")}) {
+  for (const std::string& text :
+       {std::string(""), std::string("\n\n# c\n")}) {
     try {
       parse_circuit_text(text);
       FAIL() << "expected throw";

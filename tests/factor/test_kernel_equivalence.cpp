@@ -4,6 +4,10 @@
 // are kept below as references: per-element axpy, full-width rotations,
 // and the hand-copied row-parallel LU.
 //
+//   * Row kernels: the AVX-512F kernels and the dispatched double kernels
+//     give the portable loops' bytes for every length 0-70 at every offset
+//     0-7, over zeros of both signs, subnormals, infinities and NaNs. Only
+//     a NaN's payload may differ (matrix/row_kernels.h).
 //   * LU: l, u, row_perm and the pivot trace are byte-identical to the
 //     references.
 //   * QR: r is byte-identical on and above the diagonal; below it, the
@@ -15,7 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -23,6 +29,7 @@
 #include "factor/gaussian.h"
 #include "factor/givens.h"
 #include "factor/parallel_factor.h"
+#include "matrix/row_kernels.h"
 #include "numeric/rational.h"
 #include "numeric/softfloat.h"
 #include "obs/counters.h"
@@ -423,6 +430,142 @@ void check_qr(const Matrix<T>& a, par::ThreadPool& pool,
   }
   expect_same_counters(inline_c, pooled_c, what + " pooled");
   expect_same_counters(inline_c, every_c, what + " every-row pooled");
+}
+
+// --- row kernels -----------------------------------------------------------
+
+using Axpy = void (*)(double*, const double*, double, std::size_t);
+using Rotate = void (*)(double*, double*, double, double, std::size_t);
+
+// Draws mostly ordinary values, and one in three from the edge cases:
+// zeros of both signs, subnormals, the extremes, infinities and NaNs of
+// both signs and two payloads.
+double edge_value(std::mt19937_64& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  static const double kEdges[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3,
+      -std::numeric_limits<double>::min() / 5,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      kInf,
+      -kInf,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::nan("7"),
+      1e-300,
+      1e300};
+  if (rng() % 3 == 0) return kEdges[rng() % std::size(kEdges)];
+  const double mag = std::ldexp(1.0, static_cast<int>(rng() % 41) - 20);
+  return (static_cast<double>(rng() % 2001) - 1000.0) / 997.0 * mag;
+}
+
+// Both results agree byte for byte, or both are NaN.
+void expect_same_row(const std::vector<double>& want,
+                     const std::vector<double>& got, const std::string& what) {
+  for (std::size_t t = 0; t < want.size(); ++t) {
+    if (std::isnan(want[t])) {
+      EXPECT_TRUE(std::isnan(got[t])) << what << ", element " << t;
+    } else {
+      EXPECT_TRUE(same(want[t], got[t]))
+          << what << ", element " << t << ": " << want[t] << " vs " << got[t];
+    }
+  }
+}
+
+// Every length 0..70 (none, part of and several eight-wide blocks, and
+// every tail) at offsets 0..7 into the row buffers, so both aligned and
+// unaligned loads run. Guard elements on either side must stay untouched.
+constexpr std::size_t kMaxRowLen = 70;
+constexpr std::size_t kMaxRowOffset = 7;
+
+void expect_axpy_matches(Axpy kernel) {
+  std::mt19937_64 rng(22);
+  for (std::size_t offset = 0; offset <= kMaxRowOffset; ++offset) {
+    for (std::size_t len = 0; len <= kMaxRowLen; ++len) {
+      for (int draw = 0; draw < 4; ++draw) {
+        std::vector<double> dst(offset + len + 8), src(dst.size());
+        for (double& v : dst) v = edge_value(rng);
+        for (double& v : src) v = edge_value(rng);
+        const double f = edge_value(rng);
+        std::vector<double> want = dst;
+        pfact::detail::axpy_row_portable(want.data() + offset,
+                                         src.data() + offset, f, len);
+        kernel(dst.data() + offset, src.data() + offset, f, len);
+        expect_same_row(want, dst,
+                        "axpy offset " + std::to_string(offset) + ", length " +
+                            std::to_string(len) + ", f " + std::to_string(f));
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+void expect_rotation_matches(Rotate kernel) {
+  std::mt19937_64 rng(23);
+  for (std::size_t offset = 0; offset <= kMaxRowOffset; ++offset) {
+    for (std::size_t len = 0; len <= kMaxRowLen; ++len) {
+      for (int draw = 0; draw < 4; ++draw) {
+        std::vector<double> x(offset + len + 8), y(x.size());
+        for (double& v : x) v = edge_value(rng);
+        for (double& v : y) v = edge_value(rng);
+        // A rotation's own (c, s) one draw in two, edge values otherwise.
+        double c = edge_value(rng), s = edge_value(rng);
+        if (draw % 2 == 0) {
+          const double theta = static_cast<double>(rng() % 6283) / 1000.0;
+          c = std::cos(theta);
+          s = std::sin(theta);
+        }
+        std::vector<double> want_x = x, want_y = y;
+        pfact::detail::rotate_row_pair_portable(
+            want_x.data() + offset, want_y.data() + offset, c, s, len);
+        kernel(x.data() + offset, y.data() + offset, c, s, len);
+        const std::string what = "rotation offset " + std::to_string(offset) +
+                                 ", length " + std::to_string(len) + ", c " +
+                                 std::to_string(c) + ", s " +
+                                 std::to_string(s);
+        expect_same_row(want_x, x, what + ", x");
+        expect_same_row(want_y, y, what + ", y");
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(RowKernels, Avx512AxpyMatchesThePortableLoop) {
+#if PFACT_ROW_KERNELS_HAVE_AVX512
+  if (!pfact::detail::row_kernels_avx512_supported())
+    GTEST_SKIP() << "this CPU lacks AVX-512F";
+  expect_axpy_matches(pfact::detail::axpy_row_avx512);
+#else
+  GTEST_SKIP() << "the AVX-512F kernels are built for x86-64 only";
+#endif
+}
+
+TEST(RowKernels, Avx512RotationMatchesThePortableLoop) {
+#if PFACT_ROW_KERNELS_HAVE_AVX512
+  if (!pfact::detail::row_kernels_avx512_supported())
+    GTEST_SKIP() << "this CPU lacks AVX-512F";
+  expect_rotation_matches(pfact::detail::rotate_row_pair_avx512);
+#else
+  GTEST_SKIP() << "the AVX-512F kernels are built for x86-64 only";
+#endif
+}
+
+// axpy_row and rotate_row_pair over double: whichever kernel CPUID picked.
+TEST(RowKernels, DispatchedKernelsMatchThePortableLoops) {
+  expect_axpy_matches(
+      [](double* dst, const double* src, double f, std::size_t len) {
+        axpy_row(dst, src, f, len);
+      });
+  expect_rotation_matches(
+      [](double* x, double* y, double c, double s, std::size_t len) {
+        rotate_row_pair(x, y, c, s, len);
+      });
 }
 
 template <class T>

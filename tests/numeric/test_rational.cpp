@@ -81,7 +81,9 @@ TEST(Rational, RandomizedFieldConsistencyVsDouble) {
     double db = b.to_double();
     EXPECT_NEAR((a + b).to_double(), da + db, 1e-12);
     EXPECT_NEAR((a * b).to_double(), da * db, 1e-12);
-    if (!b.is_zero()) EXPECT_NEAR((a / b).to_double(), da / db, 1e-9);
+    if (!b.is_zero()) {
+      EXPECT_NEAR((a / b).to_double(), da / db, 1e-9);
+    }
   }
 }
 

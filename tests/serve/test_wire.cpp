@@ -371,6 +371,22 @@ TEST_F(FramePipe, DesynchronizedStreamIsBadMagic) {
   EXPECT_EQ(read_frame(rd_, type, payload), WireStatus::kBadMagic);
 }
 
+TEST_F(FramePipe, CheckpointFrameWriterMatchesTheFramedPayload) {
+  std::string blob(40000, '\0');
+  for (std::size_t i = 0; i < blob.size(); ++i)
+    blob[i] = static_cast<char>(i * 131 % 251);
+  ASSERT_EQ(write_checkpoint_frame(wr_, 41, blob), WireStatus::kOk);
+  close_wr();
+  std::string got;
+  char buf[4096];
+  ssize_t n;
+  while ((n = ::read(rd_, buf, sizeof(buf))) > 0) {
+    got.append(buf, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(got, frame_bytes(FrameType::kCheckpoint,
+                             encode_checkpoint_frame(41, blob)));
+}
+
 // --- fault-injected partial I/O -------------------------------------------
 // POSIX pipes may deliver any prefix of a write, and any blocking syscall
 // may return early with EINTR. The frame layer must treat both as normal
