@@ -29,6 +29,8 @@ struct PivotEvent {
   std::size_t pivot_pos = 0;   // position of the chosen pivot row pre-move
   std::size_t pivot_row = 0;   // ORIGINAL index of the chosen pivot row
   PivotAction action = PivotAction::kKeep;
+
+  bool operator==(const PivotEvent&) const = default;
 };
 
 class PivotTrace {
@@ -48,6 +50,10 @@ class PivotTrace {
   bool failed() const;
 
   std::string to_string() const;
+
+  // Event-for-event equality: the bar kill/resume, dense/sparse and
+  // sharded/unsharded runs are held to.
+  bool operator==(const PivotTrace&) const = default;
 
  private:
   std::vector<PivotEvent> events_;

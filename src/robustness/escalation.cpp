@@ -49,10 +49,10 @@ bool substrate_supported(Algorithm a, Substrate s) {
 }
 
 std::vector<Substrate> default_ladder(Algorithm a) {
-  std::vector<Substrate> ladder = {Substrate::kDouble,
-                                   Substrate::kSoftFloat53};
-  if (substrate_supported(a, Substrate::kRational)) {
-    ladder.push_back(Substrate::kRational);
+  std::vector<Substrate> ladder;
+  for (Substrate s :
+       {Substrate::kDouble, Substrate::kSoftFloat53, Substrate::kRational}) {
+    if (substrate_supported(a, s)) ladder.push_back(s);
   }
   return ladder;
 }

@@ -61,17 +61,6 @@ CvpInstance draw(std::uint64_t seed) {
   return CvpInstance{std::move(c), std::move(in)};
 }
 
-bool traces_equal(const factor::PivotTrace& a, const factor::PivotTrace& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].column != b[i].column || a[i].pivot_pos != b[i].pivot_pos ||
-        a[i].pivot_row != b[i].pivot_row || a[i].action != b[i].action) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // The full equivalence predicate: one assertion site so every test in this
 // file holds the backends to the identical bar.
 void expect_reports_equal(const RunReport& dense, const RunReport& sparse,
@@ -88,7 +77,7 @@ void expect_reports_equal(const RunReport& dense, const RunReport& sparse,
   EXPECT_EQ(dense.detail, sparse.detail) << what;
   EXPECT_EQ(dense.offending_row, sparse.offending_row) << what;
   EXPECT_EQ(dense.offending_col, sparse.offending_col) << what;
-  EXPECT_TRUE(traces_equal(dense.trace, sparse.trace)) << what;
+  EXPECT_TRUE(dense.trace == sparse.trace) << what;
   if (dense.ok()) {
     EXPECT_EQ(dense.value, sparse.value) << what;
   }
@@ -274,7 +263,7 @@ TEST(SparseDifferential, EveryKillPointResumesThroughSparseCheckpoints) {
     EXPECT_EQ(resumed.value, baseline.value) << "kill=" << kill;
     EXPECT_EQ(resumed.decoded_entry, baseline.decoded_entry)
         << "kill=" << kill;
-    EXPECT_TRUE(traces_equal(resumed.trace, baseline.trace))
+    EXPECT_TRUE(resumed.trace == baseline.trace)
         << "kill=" << kill;
     EXPECT_EQ(resumed.steps_used, baseline.steps_used - kill)
         << "kill=" << kill;

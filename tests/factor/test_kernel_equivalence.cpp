@@ -277,17 +277,6 @@ bool same_upper_zero_lower(const Matrix<T>& want, const Matrix<T>& got) {
   return true;
 }
 
-bool same_trace(const PivotTrace& a, const PivotTrace& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].column != b[i].column || a[i].pivot_pos != b[i].pivot_pos ||
-        a[i].pivot_row != b[i].pivot_row || a[i].action != b[i].action) {
-      return false;
-    }
-  }
-  return true;
-}
-
 template <class T>
 void expect_same_lu(const LuResult<T>& want, const LuResult<T>& got,
                     const std::string& what) {
@@ -295,7 +284,7 @@ void expect_same_lu(const LuResult<T>& want, const LuResult<T>& got,
   EXPECT_TRUE(same_matrix(want.l, got.l)) << what << ": l";
   EXPECT_TRUE(same_matrix(want.u, got.u)) << what << ": u";
   EXPECT_EQ(want.row_perm, got.row_perm) << what;
-  EXPECT_TRUE(same_trace(want.trace, got.trace)) << what << ": trace";
+  EXPECT_TRUE(want.trace == got.trace) << what << ": trace";
 }
 
 constexpr Counter kFactorCounters[] = {

@@ -18,17 +18,6 @@
 namespace pfact::robustness {
 namespace {
 
-bool traces_equal(const factor::PivotTrace& a, const factor::PivotTrace& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].column != b[i].column || a[i].pivot_pos != b[i].pivot_pos ||
-        a[i].pivot_row != b[i].pivot_row || a[i].action != b[i].action) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<ReductionTask> equivalence_tasks() {
   std::vector<ReductionTask> tasks;
   ReductionTask gem;
@@ -97,7 +86,7 @@ TEST(CrashResume, EveryKillPointResumesToTheSameDecodeAndTrace) {
       // suffix operations on the snapshot state.
       EXPECT_EQ(resumed.decoded_entry, baseline.decoded_entry)
           << task.describe() << " kill=" << kill;
-      EXPECT_TRUE(traces_equal(resumed.trace, baseline.trace))
+      EXPECT_TRUE(resumed.trace == baseline.trace)
           << task.describe() << " kill=" << kill;
       // The resumed suffix re-executes only the steps after the snapshot.
       EXPECT_EQ(resumed.steps_used, baseline.steps_used - kill)
@@ -138,7 +127,7 @@ TEST(CrashResume, RepeatedKillsAccumulateProgress) {
   ASSERT_EQ(rep.diagnostic, Diagnostic::kOk) << rep.detail;
   EXPECT_GT(attempts, 2u);
   EXPECT_EQ(rep.value, baseline.value);
-  EXPECT_TRUE(traces_equal(rep.trace, baseline.trace));
+  EXPECT_TRUE(rep.trace == baseline.trace);
 }
 
 // A store whose newest blob was corrupted must be rejected with

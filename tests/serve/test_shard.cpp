@@ -76,17 +76,6 @@ RouterOptions small_router(std::size_t shards) {
   return ro;
 }
 
-bool traces_equal(const factor::PivotTrace& a, const factor::PivotTrace& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].column != b[i].column || a[i].pivot_pos != b[i].pivot_pos ||
-        a[i].pivot_row != b[i].pivot_row || a[i].action != b[i].action) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // --- taxonomy totality (the four legs of the row tables, at runtime) -------
 
 TEST(ShardTaxonomy, EveryShardStatusHasAllFourLegs) {
@@ -451,7 +440,7 @@ TEST(ShardRouterTest, KillMidJobDecodesBitEqualToUnshardedBaseline) {
         EXPECT_EQ(r.response.value, task.expected());
         if (!r.response.from_cache) {
           EXPECT_TRUE(
-              traces_equal(r.response.report.trace, base.report.final_report.trace))
+              r.response.report.trace == base.report.final_report.trace)
               << "sharded pivot trace diverged from the unsharded baseline";
         }
         answered = true;

@@ -29,17 +29,6 @@ using robustness::ReductionTask;
 using robustness::RunReport;
 using robustness::Substrate;
 
-bool traces_equal(const factor::PivotTrace& a, const factor::PivotTrace& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].column != b[i].column || a[i].pivot_pos != b[i].pivot_pos ||
-        a[i].pivot_row != b[i].pivot_row || a[i].action != b[i].action) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<ReductionTask> equivalence_tasks() {
   std::vector<ReductionTask> tasks;
   ReductionTask gem;
@@ -117,7 +106,7 @@ TEST(SupervisedResume, EveryKillPointResumesToTheSameDecodeAndTrace) {
       // arithmetic on the snapshot it was handed over the pipe.
       EXPECT_EQ(rep.final_report.decoded_entry, baseline.decoded_entry)
           << task.describe() << " j=" << j;
-      EXPECT_TRUE(traces_equal(rep.final_report.trace, baseline.trace))
+      EXPECT_TRUE(rep.final_report.trace == baseline.trace)
           << task.describe() << " j=" << j;
       // Attempt 1 really died; attempt 2 finished the job.
       ASSERT_EQ(rep.attempts.size(), 2u) << task.describe() << " j=" << j;

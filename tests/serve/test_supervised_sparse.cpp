@@ -31,17 +31,6 @@ using robustness::ReductionTask;
 using robustness::RunReport;
 using robustness::Substrate;
 
-bool traces_equal(const factor::PivotTrace& a, const factor::PivotTrace& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].column != b[i].column || a[i].pivot_pos != b[i].pivot_pos ||
-        a[i].pivot_row != b[i].pivot_row || a[i].action != b[i].action) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<ReductionTask> sparse_tasks() {
   std::vector<ReductionTask> tasks;
   ReductionTask gem;
@@ -112,7 +101,7 @@ TEST(SupervisedSparse, EveryKillPointResumesToTheDenseBaselineDecode) {
       // and none of that is allowed to show in the answer.
       EXPECT_EQ(rep.final_report.decoded_entry, baseline.decoded_entry)
           << task.describe() << " j=" << j;
-      EXPECT_TRUE(traces_equal(rep.final_report.trace, baseline.trace))
+      EXPECT_TRUE(rep.final_report.trace == baseline.trace)
           << task.describe() << " j=" << j;
       ASSERT_EQ(rep.attempts.size(), 2u) << task.describe() << " j=" << j;
       EXPECT_EQ(rep.attempts[0].diagnostic, Diagnostic::kWorkerFailure);

@@ -1,17 +1,20 @@
-// The pfact_soak exit-code contract, pinned end to end: a clean short soak
-// exits 0 in every mode, and ANY violation — including a fabricated one
-// through the --inject-violation seam — exits nonzero AND prints the
-// campaign seed, so a red CI run is always replayable from its last output
-// line. The binary is exercised as a subprocess (not a linked library)
-// because the exit status IS the contract: CI gates on it.
+// The pfact_soak command-line contract, pinned end to end for every row of
+// the soak's mode table: one full shape rotation exits 0; ANY violation —
+// including a fabricated one through the --inject-violation seam — exits 1,
+// prints the seed and the mode flag, and leaves that campaign's evidence in
+// --fail-dir, so a red CI run is always replayable from its last output
+// line; and a command line the soak cannot run exits 2 with the usage line.
+// The binary is exercised as a subprocess (not a linked library) because the
+// exit status IS the contract: CI gates on it.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -40,66 +43,123 @@ SoakResult run_soak(const std::string& args) {
   return res;
 }
 
-// A fabricated violation must exit 1 and print the seed — in EVERY mode,
-// because each mode has its own campaign loop and its own exit block, and
-// any one of them silently returning 0 would let a red soak pass CI.
-void expect_violation_fails(const std::string& mode_args) {
-  const SoakResult res =
-      run_soak(mode_args + " --campaigns 3 --seed 77 --inject-violation 1");
+// The soak's modes, as tools/pfact_soak.cpp's kModes lists them.
+struct SoakMode {
+  const char* flag;      // "" for the in-process default
+  const char* name;      // the word in this suite's test names
+  const char* evidence;  // prefix of a failing campaign's evidence file
+  int rotation;          // campaigns in one full rotation of its shapes
+};
+
+// The in-process mode draws its shapes at random; 3 campaigns keep it short.
+constexpr SoakMode kModes[] = {
+    {"", "Default", "", 3},
+    {"--kill-only", "Kill", "kill-only_", 5},
+    {"--serve", "Serve", "serve_", 7},
+    {"--net", "Net", "net_", 7},
+    {"--shard", "Shard", "shard_", 6},
+};
+
+std::string with_mode(const SoakMode& mode, const std::string& args) {
+  return std::string(mode.flag) + " " + args;
+}
+
+// Kept to one rotation: the fork modes create and destroy real workers and
+// shard processes in every campaign.
+void clean_rotation_exits_zero(const SoakMode& mode) {
+  const SoakResult res = run_soak(with_mode(
+      mode, "--campaigns " + std::to_string(mode.rotation) + " --seed 5"));
+  EXPECT_EQ(res.exit_code, 0) << res.output;
+  EXPECT_NE(res.output.find("held the contract"), std::string::npos)
+      << res.output;
+}
+
+// The fabricated violation takes the one failure path every real violation
+// takes, so this pins, per mode, the exit status, the replay handle and the
+// --fail-dir evidence.
+void injected_violation_fails(const SoakMode& mode) {
+  const fs::path dir =
+      fs::path(testing::TempDir()) / ("pfact_soak_cli_" + std::string(mode.name) +
+                                       "_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const SoakResult res = run_soak(with_mode(
+      mode, "--campaigns 3 --seed 77 --inject-violation 1 --fail-dir " +
+                dir.string()));
   EXPECT_EQ(res.exit_code, 1) << res.output;
-  EXPECT_NE(res.output.find("FAILED"), std::string::npos) << res.output;
-  EXPECT_NE(res.output.find("seed=77"), std::string::npos)
-      << "a failing soak must print its seed for replay:\n" << res.output;
-}
-
-TEST(SoakCli, CleanShortSoakExitsZero) {
-  const SoakResult res = run_soak("--campaigns 3 --seed 5");
-  EXPECT_EQ(res.exit_code, 0) << res.output;
-  EXPECT_NE(res.output.find("held the contract"), std::string::npos)
+  const std::string handle =
+      std::string("FAILED seed=77") + (*mode.flag ? " " : "") + mode.flag;
+  EXPECT_NE(res.output.find(handle), std::string::npos)
+      << "a failing soak must print its seed and mode for replay:\n"
       << res.output;
-}
-
-TEST(SoakCli, CleanShortNetSoakExitsZero) {
-  const SoakResult res = run_soak("--net --campaigns 7 --seed 5");
-  EXPECT_EQ(res.exit_code, 0) << res.output;
-  EXPECT_NE(res.output.find("held the contract"), std::string::npos)
+  EXPECT_TRUE(fs::exists(dir / (std::string(mode.evidence) + "campaign1.txt")))
       << res.output;
+  fs::remove_all(dir);
 }
 
-TEST(SoakCli, InjectedViolationFailsDefaultMode) {
-  expect_violation_fails("");
+// Values that are not whole numbers, a zero campaign count, a missing value
+// and a second mode flag: each exits 2 with the usage line before any
+// campaign runs.
+void malformed_lines_exit_two(const SoakMode& mode) {
+  std::vector<std::string> lines = {
+      "--campaigns abc", "--campaigns 0",        "--campaigns -3",
+      "--campaigns 5x",  "--seed abc",           "--seed -1",
+      "--campaigns",     "--inject-violation x", "--inject-violation"};
+  if (*mode.flag != '\0') {
+    for (const SoakMode& other : kModes) {
+      if (*other.flag != '\0') lines.push_back(other.flag);
+    }
+  }
+  for (const std::string& line : lines) {
+    const std::string args = with_mode(mode, line);
+    const SoakResult res = run_soak(args);
+    EXPECT_EQ(res.exit_code, 2) << args << "\n" << res.output;
+    EXPECT_NE(res.output.find("usage:"), std::string::npos)
+        << args << "\n" << res.output;
+  }
 }
 
-TEST(SoakCli, InjectedViolationFailsKillMode) {
-  expect_violation_fails("--kill-only");
-}
+class SoakModeTest : public testing::Test {
+ public:
+  SoakModeTest(void (*body)(const SoakMode&), const SoakMode& mode)
+      : body_(body), mode_(mode) {}
+  void TestBody() override { body_(mode_); }
 
-TEST(SoakCli, InjectedViolationFailsServeMode) {
-  expect_violation_fails("--serve");
-}
+ private:
+  void (*body_)(const SoakMode&);
+  SoakMode mode_;
+};
 
-TEST(SoakCli, CleanShortShardSoakExitsZero) {
-  // 6 campaigns = one full shape rotation (clean, two kills, wedge,
-  // brownout, fleet-kill), kept short because every shape forks and
-  // destroys real shard processes.
-  const SoakResult res = run_soak("--shard --campaigns 6 --seed 5");
-  EXPECT_EQ(res.exit_code, 0) << res.output;
-  EXPECT_NE(res.output.find("held the contract"), std::string::npos)
-      << res.output;
-}
-
-TEST(SoakCli, InjectedViolationFailsNetMode) {
-  expect_violation_fails("--net");
-}
-
-TEST(SoakCli, InjectedViolationFailsShardMode) {
-  expect_violation_fails("--shard");
-}
+// Three tests per mode, registered from the table under the suite's
+// existing names: CleanShort<Name>SoakExitsZero (the in-process mode's has
+// no word), InjectedViolationFails<Name>Mode, and
+// MalformedCommandLinesExitTwoIn<Name>Mode.
+[[maybe_unused]] const bool kRegistered = [] {
+  auto add = [](const std::string& name, void (*body)(const SoakMode&),
+                const SoakMode& mode) {
+    testing::RegisterTest("SoakCli", name.c_str(), nullptr, nullptr, __FILE__,
+                          __LINE__, [=]() -> testing::Test* {
+                            return new SoakModeTest(body, mode);
+                          });
+  };
+  for (const SoakMode& mode : kModes) {
+    const std::string word = *mode.flag ? mode.name : "";
+    add("CleanShort" + word + "SoakExitsZero", clean_rotation_exits_zero,
+        mode);
+    add(std::string("InjectedViolationFails") + mode.name + "Mode",
+        injected_violation_fails, mode);
+    add(std::string("MalformedCommandLinesExitTwoIn") + mode.name + "Mode",
+        malformed_lines_exit_two, mode);
+  }
+  return true;
+}();
 
 TEST(SoakCli, UnknownFlagExitsTwoWithUsage) {
-  const SoakResult res = run_soak("--no-such-flag");
-  EXPECT_EQ(res.exit_code, 2) << res.output;
-  EXPECT_NE(res.output.find("usage:"), std::string::npos) << res.output;
+  // --verbose is retired: every line it printed is in --log.
+  for (const char* flag : {"--no-such-flag", "--verbose"}) {
+    const SoakResult res = run_soak(flag);
+    EXPECT_EQ(res.exit_code, 2) << flag << "\n" << res.output;
+    EXPECT_NE(res.output.find("usage:"), std::string::npos) << res.output;
+  }
 }
 
 }  // namespace

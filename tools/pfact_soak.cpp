@@ -72,40 +72,47 @@
 // entry/exit (fresh keys shed as classified kOverloaded while warm keys
 // keep answering), and kill the whole fleet at once to force the
 // all-shards-down refusal and a restart storm. Contracts: zero wrong
-// answers — every fresh certified answer matches an unsharded baseline
-// service bit for bit, value AND pivot trace; every submit classified as
-// exactly one RouterStatus (the ledger must sum); full ShardStatus AND
-// RouterStatus coverage; the fleet back at full serving strength after
-// every campaign; and a cache-locality floor (at least a quarter of
-// answers come from the consistent-hash home shard despite the chaos).
+// answers — every certified answer is the circuit's value, and every fresh
+// one replays an unsharded baseline service's pivot trace event for event;
+// every submit classified as exactly one RouterStatus (the ledger must
+// sum); full ShardStatus AND RouterStatus coverage; the fleet back at full
+// serving strength after every campaign; and a cache-locality floor (at
+// least a quarter of answers come from the consistent-hash home shard
+// despite the chaos).
 //
-// Usage: pfact_soak [--campaigns N] [--seed S] [--log FILE]
-//                   [--fail-dir DIR] [--kill-only] [--serve] [--net]
-//                   [--shard] [--inject-violation N] [--verbose]
+// One driver runs every mode (DESIGN.md §9): the Soak ledger with its one
+// campaign loop and one failure path, and one kModes row per mode.
 //
-// Exit code 0 iff every campaign held the contract; any violation exits
-// nonzero and prints the campaign seed so the run can be replayed.
-// --inject-violation N fabricates a violation at campaign N — the
-// regression seam proving the violation exit path stays wired. The log file
-// (one line per campaign) and any failing checkpoint blobs (--fail-dir)
-// are the CI artifacts.
+// Usage: pfact_soak [--campaigns N] [--seed S] [--log FILE] [--fail-dir DIR]
+//                   [--kill-only | --serve | --net | --shard]
+//                   [--inject-violation N]
+//
+// Exit code 0 iff every campaign held the contract; a violation exits 1 and
+// prints the seed and mode flag for replay; a command line it cannot run
+// exits 2. --inject-violation N fabricates a violation at campaign N — the
+// regression seam proving the failure path stays wired. The log (one line
+// per campaign, then the summary stdout repeats) and the --fail-dir
+// evidence are the CI artifacts.
 
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "circuit/builders.h"
@@ -128,55 +135,6 @@ using namespace pfact::robustness;
 
 namespace {
 
-struct Options {
-  std::size_t campaigns = 200;
-  std::uint64_t seed = 1;
-  std::string log_path = "soak_log.txt";
-  std::string fail_dir;
-  bool kill_only = false;
-  bool serve = false;
-  bool net = false;
-  bool shard = false;
-  bool verbose = false;
-  // Campaign index at which to fabricate a contract violation (SIZE_MAX =
-  // never): the regression seam that keeps every violation path wired to a
-  // nonzero exit and a printed seed.
-  std::size_t inject_violation = SIZE_MAX;
-};
-
-// Every violation path funnels through here on its way out: the seed is the
-// replay handle, so it must reach stdout even when only the tail of the
-// output survives (CI truncation, a pipe buffer, a panicked operator).
-int fail_exit(const Options& opt) {
-  std::printf("pfact_soak: FAILED seed=%llu (see %s)\n",
-              static_cast<unsigned long long>(opt.seed),
-              opt.log_path.c_str());
-  return 1;
-}
-
-struct SoakStats {
-  std::size_t certified = 0;
-  std::size_t terminal = 0;
-  std::size_t escalations = 0;
-  std::size_t attempts = 0;
-  std::size_t resumes = 0;
-  std::size_t checkpoint_rejections = 0;
-  std::size_t wrong_answers = 0;  // must stay 0
-  std::size_t broken_contracts = 0;
-};
-
-// True (and records the fabricated violation) when --inject-violation says
-// this campaign must fail. Checked at the top of every campaign loop so the
-// seam exercises each mode's abort path identically.
-bool injected_violation(const Options& opt, std::size_t campaign,
-                        std::ofstream& log, SoakStats& stats) {
-  if (campaign != opt.inject_violation) return false;
-  ++stats.broken_contracts;
-  log << "campaign " << campaign
-      << " INJECTED VIOLATION (--inject-violation)\n";
-  return true;
-}
-
 // Deterministic per-campaign stream: mix64 of (seed, campaign, salt).
 struct Stream {
   std::uint64_t seed;
@@ -184,6 +142,166 @@ struct Stream {
   std::uint64_t salt = 0;
   std::uint64_t next() { return mix64(seed + campaign * 0x1000003ull, ++salt); }
   std::uint64_t pick(std::uint64_t n) { return next() % n; }
+};
+
+class Soak;
+// A mode's summary `key=value` pairs, between `certified=` and
+// `wrong-answers=`.
+using Counts = std::vector<std::pair<std::string, std::uint64_t>>;
+
+// One row per mode: its flag ("" for the in-process default), the word that
+// names it in the log header and evidence files, the campaigns one rotation
+// of its shapes takes, and the function that runs its shapes.
+struct Mode {
+  const char* flag;
+  const char* word;
+  std::size_t rotation;
+  Counts (*run)(Soak&);
+};
+
+struct Options {
+  std::size_t campaigns = 200;
+  std::uint64_t seed = 1;
+  std::string log_path = "soak_log.txt";
+  std::string fail_dir;
+  const Mode* mode = nullptr;
+  // Campaign index at which to fabricate a contract violation (SIZE_MAX =
+  // never): the regression seam that keeps the failure path wired to a
+  // nonzero exit and a printed seed.
+  std::size_t inject_violation = SIZE_MAX;
+};
+
+// The ledger of one soak, whatever its mode.
+class Soak {
+ public:
+  Soak(const Options& opt, std::ostream& log) : opt_(opt), log_(log) {}
+
+  bool ok() const { return ok_; }
+  std::uint64_t seed() const { return opt_.seed; }
+
+  // The one campaign loop, and the --inject-violation seam. A violation ends
+  // it; after a clean loop the end-of-soak checks file under --campaigns.
+  template <class Campaign>
+  void run(Campaign&& campaign) {
+    while (ok_ && campaign_ < opt_.campaigns) {
+      if (campaign_ == opt_.inject_violation) {
+        fail("INJECTED VIOLATION (--inject-violation)");
+        return;
+      }
+      Stream rng{opt_.seed, campaign_};
+      campaign(campaign_, rng);
+      if (ok_) ++campaign_;
+    }
+  }
+
+  // The campaign's log line: "campaign N " and whatever the caller streams.
+  std::ostream& line() { return log_ << "campaign " << campaign_ << " "; }
+
+  // A broken contract. Returns false, for `return soak.fail(...)`.
+  bool fail(const std::string& what, const std::string& body = "",
+            const CheckpointStore* store = nullptr) {
+    ++broken_contracts_;
+    return record(what, body, store);
+  }
+
+  // The zero-wrong-answer check: a certificate is the circuit's value.
+  bool truth(const ReductionTask& task, bool value, const std::string& context,
+             const std::string& body, const CheckpointStore* store = nullptr) {
+    if (value == task.expected()) return true;
+    ++wrong_answers_;
+    return record("WRONG ANSWER: " + context + " certified " +
+                      (value ? "true" : "false") + " but truth is " +
+                      (task.expected() ? "true" : "false"),
+                  body, store);
+  }
+
+  // An answer the campaign needs: certified, true, and counted.
+  bool answer(const ReductionTask& task, bool certified, bool value,
+              const std::string& context, const std::string& body,
+              const CheckpointStore* store = nullptr) {
+    if (!certified) return fail("NOT CERTIFIED: " + context, body, store);
+    if (!truth(task, value, context, body, store)) return false;
+    ++certified_;
+    return true;
+  }
+
+  // An end-of-soak contract, checked while the soak is clean and after
+  // `rotations` full shape rotations.
+  void expect(bool held, const std::string& what, const std::string& body,
+              std::size_t rotations = 0) {
+    if (ok_ && !held && opt_.campaigns >= rotations * opt_.mode->rotation) {
+      fail(what, body);
+    }
+  }
+
+  // Coverage after a full rotation: every class of `sweep` was observed. A
+  // class never hit means a chaos shape silently stopped exercising its path.
+  template <class E, class Seen>
+  void cover(const char* taxonomy, const std::vector<E>& sweep,
+             const char* (*name)(E), Seen seen) {
+    std::string missing;
+    for (E e : sweep) {
+      if (!seen(e)) missing += std::string(" ") + name(e);
+    }
+    expect(missing.empty(), std::string("COVERAGE GAP: ") + taxonomy,
+           "never observed:" + missing, 1);
+  }
+
+  // The one summary and exit. A failure prints its replay handle (seed and
+  // mode flag) last, so it survives any truncation of the output.
+  int finish(const Counts& counts) {
+    std::ostringstream summary;
+    summary << "summary certified=" << certified_;
+    for (const auto& [key, n] : counts) summary << " " << key << "=" << n;
+    summary << " wrong-answers=" << wrong_answers_
+            << " broken-contracts=" << broken_contracts_;
+    log_ << summary.str() << "\n";
+    const std::string flag =
+        *opt_.mode->flag ? std::string(" ") + opt_.mode->flag : "";
+    std::printf("pfact_soak%s: %s\n", flag.c_str(), summary.str().c_str());
+    if (!ok_) {
+      std::printf("pfact_soak: FAILED seed=%llu%s (see %s)\n",
+                  static_cast<unsigned long long>(opt_.seed), flag.c_str(),
+                  opt_.log_path.c_str());
+      return 1;
+    }
+    std::printf("pfact_soak%s: all campaigns held the contract\n",
+                flag.c_str());
+    return 0;
+  }
+
+ private:
+  // The only failure path: the violation is logged under its campaign and
+  // left in --fail-dir as [<word>_]campaign<N>.txt, with the checkpoint
+  // store's blobs beside it as [<word>_]campaign<N>_step<S>.ckpt.
+  bool record(const std::string& what, const std::string& body,
+              const CheckpointStore* store) {
+    ok_ = false;
+    log_ << "campaign " << campaign_ << " " << what << "\n";
+    if (!body.empty()) log_ << body << "\n";
+    if (opt_.fail_dir.empty()) return false;
+    const std::string word = opt_.mode->word;
+    const std::string stem = opt_.fail_dir + "/" +
+                             (word.empty() ? "" : word + "_") + "campaign" +
+                             std::to_string(campaign_);
+    std::ofstream(stem + ".txt", std::ios::app) << what << "\n"
+                                                << body << "\n";
+    if (store != nullptr) {
+      for (const auto& [step, blob] : store->blobs()) {
+        write_checkpoint_file(stem + "_step" + std::to_string(step) + ".ckpt",
+                              blob);
+      }
+    }
+    return false;
+  }
+
+  const Options& opt_;
+  std::ostream& log_;
+  std::size_t campaign_ = 0;
+  bool ok_ = true;
+  std::uint64_t certified_ = 0;
+  std::uint64_t wrong_answers_ = 0;  // must stay 0
+  std::uint64_t broken_contracts_ = 0;
 };
 
 std::vector<ReductionTask> build_task_pool() {
@@ -223,69 +341,163 @@ std::vector<ReductionTask> build_task_pool() {
   return pool;
 }
 
-bool traces_equal(const factor::PivotTrace& a, const factor::PivotTrace& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].column != b[i].column || a[i].pivot_pos != b[i].pivot_pos ||
-        a[i].pivot_row != b[i].pivot_row || a[i].action != b[i].action) {
-      return false;
-    }
-  }
-  return true;
-}
+// --- in-process campaigns through resilient_run ----------------------------
 
-void tally(const ResilientReport& rep, SoakStats& stats) {
-  stats.attempts += rep.attempts.size();
-  stats.escalations += rep.escalations;
-  for (const AttemptRecord& a : rep.attempts) {
-    if (a.resumed) ++stats.resumes;
-    if (a.diagnostic == Diagnostic::kCheckpointCorrupt) {
-      ++stats.checkpoint_rejections;
-    }
-  }
-}
+constexpr const char* kInProcessShapes[] = {
+    "fault-sweep", "flip-ladder", "preemption", "torn-write", "kill-resume"};
 
-// The one property the engine must never lose: a certified answer is the
-// ground truth. Returns false (and dumps evidence) on violation.
-bool check_verdict(const ReductionTask& task, const ResilientReport& rep,
-                   const Options& opt, const CheckpointStore* store,
-                   std::size_t campaign, std::ofstream& log,
-                   SoakStats& stats) {
-  if (rep.certified) {
-    ++stats.certified;
-    if (rep.value != task.expected()) {
-      ++stats.wrong_answers;
-      log << "campaign " << campaign << " WRONG ANSWER: " << task.describe()
-          << " certified " << (rep.value ? "true" : "false") << " but truth is "
-          << (task.expected() ? "true" : "false") << "\n"
-          << rep.to_string() << "\n";
-      if (!opt.fail_dir.empty() && store != nullptr) {
-        std::size_t i = 0;
-        for (const auto& [step, blob] : store->blobs()) {
-          write_checkpoint_file(opt.fail_dir + "/campaign" +
-                                    std::to_string(campaign) + "_step" +
-                                    std::to_string(step) + ".ckpt",
-                                blob);
-          ++i;
+Counts run_in_process(Soak& soak) {
+  const std::vector<ReductionTask> pool = build_task_pool();
+  const std::vector<FaultClass> faults = all_fault_classes();
+  std::uint64_t terminal = 0, attempts = 0, escalations = 0, resumes = 0,
+                rejections = 0;
+  auto tally = [&](const ResilientReport& rep) {
+    attempts += rep.attempts.size();
+    escalations += rep.escalations;
+    for (const AttemptRecord& a : rep.attempts) {
+      if (a.resumed) ++resumes;
+      if (a.diagnostic == Diagnostic::kCheckpointCorrupt) ++rejections;
+    }
+  };
+
+  soak.run([&](std::size_t, Stream& rng) {
+    const ReductionTask& task = pool[rng.pick(pool.size())];
+    ResilientOptions ro;
+    ro.retry.max_attempts = 3;
+    ro.retry.base_delay = std::chrono::milliseconds{1};
+    ro.retry.jitter_seed = rng.next();
+    // No sleeper installed: backoffs are recorded, not slept — the campaign
+    // stream is wall-clock independent.
+
+    const std::uint64_t shape = rng.pick(std::size(kInProcessShapes));
+    const std::string name =
+        std::string(kInProcessShapes[shape]) + " " + task.describe();
+    CheckpointStore store;
+    FaultPlan plan;
+
+    switch (shape) {
+      case 0:  // fault-sweep: one persistent fault across all attempts
+        plan.fault = faults[rng.pick(faults.size())];
+        plan.seed = rng.next();
+        ro.checkpoint_every = 2 + rng.pick(4);
+        ro.store = &store;
+        ro.fault_for_attempt = [plan](std::size_t) { return plan; };
+        break;
+      case 1:  // flip-ladder: rounding flip, ladder starts on SoftFloat
+        if (task.algorithm == Algorithm::kGqr) {
+          // GQR has no exact rung to escalate into; give it the full ladder
+          // from the bottom instead (the flip is harmless on long double).
+          ro.ladder = {Substrate::kDouble, Substrate::kSoftFloat53};
+        } else {
+          ro.ladder = {Substrate::kSoftFloat53, Substrate::kRational};
         }
-        (void)i;
+        plan.fault = FaultClass::kRoundingFlip;
+        plan.seed = rng.next();
+        ro.fault_for_attempt = [plan](std::size_t) { return plan; };
+        break;
+      case 2:  // preemption storm: kill every attempt, finish by resume
+        ro.checkpoint_every = 2;
+        ro.store = &store;
+        ro.limits.max_steps = 3 + rng.pick(3);
+        // Progress per kill is ~checkpoint_every steps, so crossing the
+        // largest pool task (order ~10^2) takes a few hundred kills.
+        ro.retry.max_attempts = 1024;
+        break;
+      case 3:  // torn-write: preemption plus a blob corrupted at save
+        ro.checkpoint_every = 2;
+        ro.store = &store;
+        ro.limits.max_steps = 4;
+        ro.retry.max_attempts = 1024;
+        plan.fault = FaultClass::kTornWrite;
+        plan.seed = rng.next();
+        ro.fault_for_attempt = [plan](std::size_t attempt) {
+          // Tear only the first attempt's snapshot so the campaign also
+          // proves recovery, not just rejection.
+          return attempt == 1 ? plan : FaultPlan{};
+        };
+        break;
+      default: {  // kill-resume: explicit crash/resume equivalence
+        // Uninterrupted baseline.
+        ResilientOptions base;
+        base.retry.max_attempts = 1;
+        const ResilientReport baseline = resilient_run(task, base);
+        if (!baseline.certified) {
+          soak.fail("BROKEN CONTRACT: clean run of " + task.describe() +
+                        " not certified",
+                    baseline.to_string());
+          return;
+        }
+        if (!soak.truth(task, baseline.value, "clean " + name,
+                        baseline.to_string())) {
+          return;
+        }
+        // Kill a checkpointing run at a step boundary...
+        const std::size_t every = 2 + rng.pick(3);
+        ResilientOptions crash;
+        crash.retry.max_attempts = 1;
+        crash.checkpoint_every = every;
+        crash.store = &store;
+        crash.limits.max_steps = every * (1 + rng.pick(3));
+        const ResilientReport crashed = resilient_run(task, crash);
+        tally(crashed);
+        // The killed run may legitimately finish early (the budget can
+        // exceed the task), but a certificate it does hand out must be the
+        // truth — a certified-wrong crash run is the worst possible answer.
+        if (crashed.certified &&
+            !soak.truth(task, crashed.value, "interrupted " + name,
+                        crashed.to_string(), &store)) {
+          return;
+        }
+        // ...and hand the surviving store to a fresh engine call.
+        ResilientOptions resume;
+        resume.retry.max_attempts = 2;
+        resume.checkpoint_every = every;
+        resume.store = &store;
+        const ResilientReport resumed = resilient_run(task, resume);
+        tally(resumed);
+        if (!soak.answer(task, resumed.certified, resumed.value,
+                         "resumed " + name, resumed.to_string(), &store)) {
+          return;
+        }
+        if (resumed.final_report.trace != baseline.final_report.trace) {
+          soak.fail("CRASH/RESUME DIVERGENCE: " + name + " baseline trace=" +
+                        std::to_string(baseline.final_report.trace.size()) +
+                        " events; resumed:",
+                    resumed.to_string(), &store);
+          return;
+        }
+        soak.line() << name << " ok\n";
+        return;
       }
-      return false;
     }
-  } else {
-    ++stats.terminal;
-    // A terminal failure must be a *classified* one — the supervisor never
-    // gives up with kOk or an unexplained success-kind.
-    if (rep.outcome == FailureKind::kSuccess ||
-        rep.final_report.diagnostic == Diagnostic::kOk) {
-      ++stats.broken_contracts;
-      log << "campaign " << campaign
-          << " BROKEN CONTRACT: terminal report carries kOk\n"
-          << rep.to_string() << "\n";
-      return false;
+
+    const ResilientReport rep = resilient_run(task, ro);
+    tally(rep);
+    if (rep.certified) {
+      if (!soak.answer(task, true, rep.value, name, rep.to_string(), &store)) {
+        return;
+      }
+    } else {
+      ++terminal;
+      // A terminal failure must be a *classified* one — the supervisor never
+      // gives up with kOk or an unexplained success-kind.
+      if (rep.outcome == FailureKind::kSuccess ||
+          rep.final_report.diagnostic == Diagnostic::kOk) {
+        soak.fail("BROKEN CONTRACT: terminal report carries kOk",
+                  rep.to_string(), &store);
+        return;
+      }
     }
-  }
-  return true;
+    soak.line() << name << " " << (rep.certified ? "certified" : "terminal")
+                << " attempts=" << rep.attempts.size()
+                << " escalations=" << rep.escalations << "\n";
+  });
+
+  return {{"terminal", terminal},
+          {"attempts", attempts},
+          {"escalations", escalations},
+          {"resumes", resumes},
+          {"checkpoint-rejections", rejections}};
 }
 
 // --- real-kill campaigns through the serve/ layer ---------------------------
@@ -314,141 +526,112 @@ constexpr KillShape kKillShapes[] = {
     {"worker-rlimit", serve::KillPlan::Mode::kSpin, false, true,
      serve::WorkerExit::kCpuLimit, Diagnostic::kResourceExhausted},
 };
+constexpr const KillShape& kWatchdogShape = kKillShapes[3];
+static_assert(kWatchdogShape.expect_exit == serve::WorkerExit::kWatchdog);
 
-int run_kill_campaigns(const Options& opt, std::ofstream& log) {
+// The job that stages `shape`: attempt 1's worker dies the shape's way after
+// `after_saves` checkpoint saves, and the next attempt may certify.
+// Campaigns draw it from {0, 1}: die before any save, or right after the
+// first. Capped at 1 because the smallest pool tasks may stream only one
+// snapshot — a trigger that never fires would let attempt 1 complete
+// cleanly and trip the misclassification check.
+serve::JobOptions kill_job(const KillShape& shape, std::uint64_t after_saves) {
+  serve::JobOptions job;
+  job.kill_for_attempt = [&shape, after_saves](std::size_t attempt) {
+    serve::KillPlan kill;
+    if (attempt == 1) {
+      kill.mode = shape.mode;
+      kill.after_saves = after_saves;
+    }
+    return kill;
+  };
+  if (shape.watchdog) job.watchdog = std::chrono::milliseconds{200};
+  if (shape.cpu_rlimit) job.rlimits.cpu_seconds = 1;
+  return job;
+}
+
+// The victim's death was classified exactly as the taxonomy promises.
+bool kill_classified(Soak& soak, const KillShape& shape,
+                     const serve::SupervisedReport& rep) {
+  if (!rep.attempts.empty() &&
+      rep.attempts.front().diagnostic == shape.expect_diag) {
+    return true;
+  }
+  return soak.fail(std::string(shape.name) + " KILL MISCLASSIFIED: expected " +
+                       diagnostic_name(shape.expect_diag) + ", got " +
+                       (rep.attempts.empty()
+                            ? "no attempts"
+                            : diagnostic_name(rep.attempts.front().diagnostic)),
+                   rep.to_string());
+}
+
+// Coverage: every death class the pool can report was really produced and
+// survived — except kProtocolError (no KillPlan yields exit-0 without a
+// result frame) and kForkFailure (real fork exhaustion cannot be staged on
+// demand); tests/serve/test_warm_pool.cpp produces both through the pool's
+// fork seam.
+void cover_worker_exits(Soak& soak,
+                        const std::set<serve::WorkerExit>& observed) {
+  soak.cover("WorkerExit", serve::all_worker_exits(), serve::worker_exit_name,
+             [&](serve::WorkerExit e) {
+               return e == serve::WorkerExit::kProtocolError ||
+                      e == serve::WorkerExit::kForkFailure ||
+                      observed.count(e) > 0;
+             });
+}
+
+// The retry and checkpoint policy of every supervised job in the soak.
+serve::SupervisorOptions supervisor_policy() {
+  serve::SupervisorOptions so;
+  so.retry.max_attempts = 3;
+  so.retry.base_delay = std::chrono::milliseconds{1};
+  so.checkpoint_every = 2;
+  return so;
+}
+
+Counts run_kill_only(Soak& soak) {
   const std::vector<ReductionTask> pool_tasks = build_task_pool();
   // A fresh worker process for every attempt.
   serve::WarmPool pool({.workers = 1, .recycle_after = 1});
-  SoakStats stats;
   std::set<serve::WorkerExit> observed;
-  std::size_t resume_handoffs = 0;
-  bool ok = true;
+  std::uint64_t attempts = 0, resume_handoffs = 0;
 
-  for (std::size_t campaign = 0; campaign < opt.campaigns && ok; ++campaign) {
-    if (injected_violation(opt, campaign, log, stats)) {
-      ok = false;
-      break;
-    }
-    Stream rng{opt.seed, campaign};
+  soak.run([&](std::size_t campaign, Stream& rng) {
     const ReductionTask& task = pool_tasks[rng.pick(pool_tasks.size())];
     // Cycle shapes deterministically so a short soak still covers them all.
     const KillShape& shape = kKillShapes[campaign % std::size(kKillShapes)];
-
     CheckpointStore store;
-    serve::SupervisorOptions so;
-    so.retry.max_attempts = 3;
-    so.retry.base_delay = std::chrono::milliseconds{1};
+    serve::SupervisorOptions so = supervisor_policy();
     so.retry.jitter_seed = rng.next();
-    so.checkpoint_every = 2;
     so.store = &store;
-    if (shape.watchdog) so.watchdog = std::chrono::milliseconds{200};
-    if (shape.cpu_rlimit) so.rlimits.cpu_seconds = 1;
-    // 0 = die before any save, 1 = die right after the first save. Capped
-    // at 1 because the smallest pool tasks may stream only one snapshot —
-    // a trigger that never fires would let attempt 1 complete cleanly and
-    // trip the misclassification check below.
-    const std::uint64_t after_saves = rng.pick(2);
-    so.kill_for_attempt = [&shape, after_saves](std::size_t attempt) {
-      serve::KillPlan kill;
-      if (attempt == 1) {
-        kill.mode = shape.mode;
-        kill.after_saves = after_saves;
-      }
-      return kill;
-    };
+    const serve::JobOptions job = kill_job(shape, rng.pick(2));
+    so.kill_for_attempt = job.kill_for_attempt;
+    so.watchdog = job.watchdog;
+    so.rlimits = job.rlimits;
 
     const serve::SupervisedReport rep = supervised_run(pool, task, so);
-    stats.attempts += rep.attempts.size();
-    stats.escalations += rep.escalations;
+    attempts += rep.attempts.size();
     resume_handoffs += rep.resume_handoffs;
-
     // Zero wrong answers, across a real process death.
-    if (!rep.certified || rep.value != task.expected()) {
-      if (rep.certified) ++stats.wrong_answers;
-      ++stats.broken_contracts;
-      log << "campaign " << campaign << " " << shape.name << " "
-          << task.describe() << " FAILED: "
-          << (rep.certified ? "WRONG ANSWER" : "not certified") << "\n"
-          << rep.to_string() << "\n";
-      if (!opt.fail_dir.empty()) {
-        for (const auto& [step, blob] : store.blobs()) {
-          write_checkpoint_file(opt.fail_dir + "/campaign" +
-                                    std::to_string(campaign) + "_step" +
-                                    std::to_string(step) + ".ckpt",
-                                blob);
-        }
-      }
-      ok = false;
-      break;
-    }
-    ++stats.certified;
-    // The victim's death was classified exactly as the taxonomy promises.
-    if (rep.attempts.empty() ||
-        rep.attempts.front().diagnostic != shape.expect_diag) {
-      ++stats.broken_contracts;
-      log << "campaign " << campaign << " " << shape.name
-          << " MISCLASSIFIED: expected "
-          << diagnostic_name(shape.expect_diag) << ", got "
-          << (rep.attempts.empty()
-                  ? "no attempts"
-                  : diagnostic_name(rep.attempts.front().diagnostic))
-          << "\n" << rep.to_string() << "\n";
-      ok = false;
-      break;
+    const std::string name = std::string(shape.name) + " " + task.describe();
+    if (!soak.answer(task, rep.certified, rep.value, name, rep.to_string(),
+                     &store) ||
+        !kill_classified(soak, shape, rep)) {
+      return;
     }
     observed.insert(shape.expect_exit);
     observed.insert(rep.last_worker_exit);  // kCompleted on certification
-    log << "campaign " << campaign << " " << shape.name << " "
-        << task.describe() << " certified attempts=" << rep.attempts.size()
-        << " resume-handoffs=" << rep.resume_handoffs << "\n";
-    if (opt.verbose) {
-      std::printf("campaign %zu %s %s: certified (%zu attempts)\n", campaign,
-                  shape.name, task.describe().c_str(), rep.attempts.size());
-    }
-  }
+    soak.line() << name << " certified attempts=" << rep.attempts.size()
+                << " resume-handoffs=" << rep.resume_handoffs << "\n";
+  });
 
-  // Coverage: every death class the pool can report was really produced
-  // and survived — except kProtocolError (no KillPlan yields exit-0
-  // without a result frame) and kForkFailure (real fork exhaustion cannot
-  // be staged on demand); tests/serve/test_warm_pool.cpp produces both
-  // through the pool's fork seam.
-  if (ok && opt.campaigns >= std::size(kKillShapes)) {
-    for (serve::WorkerExit e : serve::all_worker_exits()) {
-      if (e == serve::WorkerExit::kProtocolError ||
-          e == serve::WorkerExit::kForkFailure) {
-        continue;
-      }
-      if (observed.count(e) == 0) {
-        ++stats.broken_contracts;
-        log << "COVERAGE GAP: WorkerExit " << serve::worker_exit_name(e)
-            << " never observed\n";
-        ok = false;
-      }
-    }
-  }
-
+  cover_worker_exits(soak, observed);
   const serve::WarmPool::Stats ps = pool.stats();
-  log << "summary certified=" << stats.certified
-      << " attempts=" << stats.attempts
-      << " workers-spawned=" << ps.spawned << " workers-crashed="
-      << ps.crashed << " watchdog-kills=" << ps.watchdog_kills
-      << " resume-handoffs=" << resume_handoffs
-      << " wrong-answers=" << stats.wrong_answers
-      << " broken-contracts=" << stats.broken_contracts << "\n";
-  std::printf(
-      "pfact_soak --kill-only: %zu certified, %zu attempts, "
-      "%llu workers spawned, %llu crashed, %llu watchdog kills, "
-      "%zu resume handoffs, %zu wrong answers, %zu broken contracts\n",
-      stats.certified, stats.attempts,
-      static_cast<unsigned long long>(ps.spawned),
-      static_cast<unsigned long long>(ps.crashed),
-      static_cast<unsigned long long>(ps.watchdog_kills), resume_handoffs,
-      stats.wrong_answers, stats.broken_contracts);
-  if (!ok || stats.wrong_answers != 0 || stats.broken_contracts != 0) {
-    return fail_exit(opt);
-  }
-  std::printf("pfact_soak: all real-kill campaigns held the contract\n");
-  return 0;
+  return {{"attempts", attempts},
+          {"workers-spawned", ps.spawned},
+          {"workers-crashed", ps.crashed},
+          {"watchdog-kills", ps.watchdog_kills},
+          {"resume-handoffs", resume_handoffs}};
 }
 
 // --- concurrent serve campaigns through the warm-worker service -------------
@@ -495,51 +678,38 @@ ReductionTask unique_chain_task(std::uint64_t id) {
   return t;
 }
 
-int run_serve_campaigns(const Options& opt, std::ofstream& log) {
+// Auto-respawn: every killed, recycled, or retired warm worker was replaced
+// — the pool behind `service` ends the soak at full strength.
+void expect_full_pool(Soak& soak, const serve::ReductionService& service,
+                      std::size_t workers) {
+  soak.expect(service.pool().live_workers() == workers, "RESPAWN GAP",
+              std::to_string(service.pool().live_workers()) + " of " +
+                  std::to_string(workers) +
+                  " warm workers alive at end of soak");
+}
+
+Counts run_serve(Soak& soak) {
   const std::vector<ReductionTask> repeat_tasks = build_task_pool();
-
-  serve::ServiceOptions so;
-  so.dispatchers = 2;
-  so.queue_depth = 4;  // small on purpose: overload bursts must shed
-  so.cache_capacity = 64;
-  so.pool.workers = 2;
-  so.pool.recycle_after = 8;  // quota retirements happen during the soak
-  so.supervisor.retry.max_attempts = 3;
-  so.supervisor.retry.base_delay = std::chrono::milliseconds{1};
-  so.supervisor.checkpoint_every = 2;
-  serve::ReductionService service(so);
-
-  SoakStats stats;
+  // A small queue on purpose: overload bursts must shed. Quota retirements
+  // happen during the soak.
+  serve::ReductionService service({.dispatchers = 2,
+                                   .queue_depth = 4,
+                                   .cache_capacity = 64,
+                                   .pool = {.workers = 2, .recycle_after = 8},
+                                   .supervisor = supervisor_policy()});
   std::set<serve::WorkerExit> observed;
-  std::uint64_t unique_id = 0;
-  bool ok = true;
+  std::uint64_t attempts = 0, unique_id = 0;
 
-  auto fail = [&](std::size_t campaign, const char* what,
-                  const std::string& body) {
-    ++stats.broken_contracts;
-    log << "campaign " << campaign << " " << what << "\n" << body << "\n";
-    if (!opt.fail_dir.empty()) {
-      std::ofstream dump(opt.fail_dir + "/serve_campaign" +
-                             std::to_string(campaign) + ".txt",
-                         std::ios::trunc);
-      dump << what << "\n" << body << "\n";
-    }
-    ok = false;
-  };
-
-  // Checks one admitted-and-dispatched response against the zero-wrong-
-  // answer contract; returns false after recording the failure.
-  auto check_served = [&](std::size_t campaign, const ReductionTask& task,
-                          const serve::ServiceResponse& resp) {
-    stats.attempts += resp.report.attempts.size();
-    if (!resp.report.certified || resp.report.value != task.expected()) {
-      if (resp.report.certified) ++stats.wrong_answers;
-      fail(campaign,
-           resp.report.certified ? "WRONG ANSWER" : "NOT CERTIFIED",
-           resp.report.to_string());
+  // One admitted-and-dispatched response, held to the zero-wrong-answer
+  // contract.
+  auto served = [&](const ReductionTask& task,
+                    const serve::ServiceResponse& resp,
+                    const std::string& context) {
+    attempts += resp.report.attempts.size();
+    if (!soak.answer(task, resp.report.certified, resp.report.value, context,
+                     resp.report.to_string())) {
       return false;
     }
-    ++stats.certified;
     if (!resp.from_cache) observed.insert(resp.report.last_worker_exit);
     return true;
   };
@@ -547,20 +717,9 @@ int run_serve_campaigns(const Options& opt, std::ofstream& log) {
   // A dispatcher wedge: attempt 1 spins until the 200 ms watchdog kills
   // it, attempt 2 certifies (which also feeds kWatchdog into the coverage
   // set). The overload and deadline shapes pin both dispatchers with it.
-  serve::JobOptions wedge;
-  wedge.kill_for_attempt = [](std::size_t attempt) {
-    serve::KillPlan kill;
-    if (attempt == 1) kill.mode = serve::KillPlan::Mode::kSpin;
-    return kill;
-  };
-  wedge.watchdog = std::chrono::milliseconds{200};
+  const serve::JobOptions wedge = kill_job(kWatchdogShape, 0);
 
-  for (std::size_t campaign = 0; campaign < opt.campaigns && ok; ++campaign) {
-    if (injected_violation(opt, campaign, log, stats)) {
-      ok = false;
-      break;
-    }
-    Stream rng{opt.seed, campaign};
+  soak.run([&](std::size_t campaign, Stream& rng) {
     const std::size_t shape = campaign % 7;
 
     if (shape < std::size(kKillShapes)) {
@@ -569,38 +728,21 @@ int run_serve_campaigns(const Options& opt, std::ofstream& log) {
       // per campaign, so the kill always reaches a live worker.
       const KillShape& ks = kKillShapes[shape];
       const ReductionTask task = unique_chain_task(unique_id++);
-      serve::JobOptions job;
-      const std::uint64_t after_saves = rng.pick(2);
-      job.kill_for_attempt = [&ks, after_saves](std::size_t attempt) {
-        serve::KillPlan kill;
-        if (attempt == 1) {
-          kill.mode = ks.mode;
-          kill.after_saves = after_saves;
-        }
-        return kill;
-      };
-      if (ks.watchdog) job.watchdog = std::chrono::milliseconds{200};
-      if (ks.cpu_rlimit) job.rlimits.cpu_seconds = 1;
-      const serve::ServiceResponse resp = service.run(task, job);
+      const serve::ServiceResponse resp =
+          service.run(task, kill_job(ks, rng.pick(2)));
       if (resp.admission != serve::Admission::kAccepted) {
-        fail(campaign, "LONE JOB SHED: an idle service must admit",
-             resp.report.to_string());
-        break;
+        soak.fail("LONE JOB SHED: an idle service must admit",
+                  resp.report.to_string());
+        return;
       }
-      if (!check_served(campaign, task, resp)) break;
-      // The worker's death was classified exactly as the taxonomy promises.
-      if (resp.report.attempts.empty() ||
-          resp.report.attempts.front().diagnostic != ks.expect_diag) {
-        fail(campaign, "KILL MISCLASSIFIED", resp.report.to_string());
-        break;
+      if (!served(task, resp, std::string("serve-") + ks.name) ||
+          !kill_classified(soak, ks, resp.report)) {
+        return;
       }
       observed.insert(ks.expect_exit);
-      log << "campaign " << campaign << " serve-" << ks.name
-          << " certified attempts=" << resp.report.attempts.size() << "\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu serve-%s: certified (%zu attempts)\n",
-                    campaign, ks.name, resp.report.attempts.size());
-      }
+      soak.line() << "serve-" << ks.name
+                  << " certified attempts=" << resp.report.attempts.size()
+                  << "\n";
     } else if (shape == std::size(kKillShapes)) {
       // Overload burst: pin both dispatchers on watchdog-bounded spins, then
       // pour in more submissions than the queue bound can hold from
@@ -637,10 +779,10 @@ int run_serve_campaigns(const Options& opt, std::ofstream& log) {
       }
 
       std::size_t shed_here = 0;
-      for (std::size_t j = 0; j < kBurst && ok; ++j) {
+      for (std::size_t j = 0; j < kBurst; ++j) {
         const serve::ServiceResponse& resp = burst[j]->wait();
         if (resp.admission == serve::Admission::kAccepted) {
-          if (!check_served(campaign, burst_tasks[j], resp)) break;
+          if (!served(burst_tasks[j], resp, "serve-overload burst")) return;
         } else if (resp.admission == serve::Admission::kShedQueueFull) {
           ++shed_here;
           // A shed is only acceptable CLASSIFIED: the transient
@@ -650,31 +792,27 @@ int run_serve_campaigns(const Options& opt, std::ofstream& log) {
               classify_diagnostic(resp.report.final_report.diagnostic) !=
                   FailureKind::kTransient ||
               resp.report.certified) {
-            fail(campaign, "UNCLASSIFIED SHED", resp.report.to_string());
-            break;
+            soak.fail("UNCLASSIFIED SHED", resp.report.to_string());
+            return;
           }
         } else {
-          fail(campaign, "UNEXPECTED ADMISSION CLASS",
-               std::string(serve::admission_name(resp.admission)));
-          break;
+          soak.fail("UNEXPECTED ADMISSION CLASS",
+                    serve::admission_name(resp.admission));
+          return;
         }
       }
-      if (ok && !check_served(campaign, pin_a, pa->wait())) break;
-      if (ok && !check_served(campaign, pin_b, pb->wait())) break;
-      if (ok && shed_here == 0) {
-        fail(campaign, "OVERLOAD NEVER SHED",
-             "burst exceeded queue_depth with both dispatchers pinned, yet "
-             "no submission was refused");
-        break;
+      if (!served(pin_a, pa->wait(), "serve-overload pin") ||
+          !served(pin_b, pb->wait(), "serve-overload pin")) {
+        return;
       }
-      if (ok) {
-        log << "campaign " << campaign << " serve-overload shed=" << shed_here
-            << "/" << kBurst << "\n";
-        if (opt.verbose) {
-          std::printf("campaign %zu serve-overload: %zu/%zu shed\n", campaign,
-                      shed_here, kBurst);
-        }
+      if (shed_here == 0) {
+        soak.fail("OVERLOAD NEVER SHED",
+                  "burst exceeded queue_depth with both dispatchers pinned, "
+                  "yet no submission was refused");
+        return;
       }
+      soak.line() << "serve-overload shed=" << shed_here << "/" << kBurst
+                  << "\n";
     } else {
       // Deadline expiry: wedge both dispatchers, then queue a job whose
       // deadline is already hopeless. FIFO order guarantees the wedges are
@@ -697,89 +835,40 @@ int run_serve_campaigns(const Options& opt, std::ofstream& log) {
           lr.report.final_report.diagnostic !=
               Diagnostic::kDeadlineExceeded ||
           lr.report.certified) {
-        fail(campaign, "DEADLINE NOT SHED",
-             std::string("admission=") +
-                 serve::admission_name(lr.admission) + "\n" +
-                 lr.report.to_string());
-        break;
+        soak.fail("DEADLINE NOT SHED",
+                  std::string("admission=") +
+                      serve::admission_name(lr.admission) + "\n" +
+                      lr.report.to_string());
+        return;
       }
-      if (!check_served(campaign, wedge_a, wa->wait())) break;
-      if (!check_served(campaign, wedge_b, wb->wait())) break;
+      if (!served(wedge_a, wa->wait(), "serve-deadline wedge") ||
+          !served(wedge_b, wb->wait(), "serve-deadline wedge")) {
+        return;
+      }
       observed.insert(serve::WorkerExit::kWatchdog);
-      log << "campaign " << campaign << " serve-deadline shed ok\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu serve-deadline: shed as %s\n", campaign,
-                    serve::admission_name(lr.admission));
-      }
+      soak.line() << "serve-deadline shed ok\n";
     }
-  }
+  });
 
-  // Coverage: every real worker-death class was produced and survived
-  // through the service path — same two exclusions as the kill-only soak
-  // (tests/serve/test_warm_pool.cpp produces both through the fork seam).
-  if (ok && opt.campaigns >= 7) {
-    for (serve::WorkerExit e : serve::all_worker_exits()) {
-      if (e == serve::WorkerExit::kProtocolError ||
-          e == serve::WorkerExit::kForkFailure) {
-        continue;
-      }
-      if (observed.count(e) == 0) {
-        ++stats.broken_contracts;
-        log << "COVERAGE GAP: WorkerExit " << serve::worker_exit_name(e)
-            << " never observed through the service\n";
-        ok = false;
-      }
-    }
-  }
-  // Auto-respawn: every killed, recycled, or retired warm worker was
-  // replaced — the pool ends the soak at full strength.
-  if (ok && service.pool().live_workers() != so.pool.workers) {
-    ++stats.broken_contracts;
-    log << "RESPAWN GAP: " << service.pool().live_workers() << " of "
-        << so.pool.workers << " warm workers alive at end of soak\n";
-    ok = false;
-  }
+  // Coverage through the service path, with the kill-only soak's two
+  // exclusions.
+  cover_worker_exits(soak, observed);
+  expect_full_pool(soak, service, 2);
   const serve::ReductionService::Stats sstats = service.stats();
-  if (ok && opt.campaigns >= 14 && sstats.served_from_cache == 0) {
-    ++stats.broken_contracts;
-    log << "CACHE NEVER HIT: repeated tasks were re-factored every time\n";
-    ok = false;
-  }
+  soak.expect(sstats.served_from_cache > 0, "CACHE NEVER HIT",
+              "repeated tasks were re-factored every time", 2);
 
   const serve::WarmPool::Stats ps = service.pool().stats();
-  log << "summary certified=" << stats.certified
-      << " attempts=" << stats.attempts << " submitted=" << sstats.submitted
-      << " accepted=" << sstats.accepted
-      << " shed-queue-full=" << sstats.shed_queue_full
-      << " shed-deadline=" << sstats.shed_deadline
-      << " cache-hits=" << sstats.served_from_cache
-      << " workers-spawned=" << ps.spawned << " workers-crashed="
-      << ps.crashed << " recycles=" << ps.recycles
-      << " watchdog-kills=" << ps.watchdog_kills
-      << " wrong-answers=" << stats.wrong_answers
-      << " broken-contracts=" << stats.broken_contracts << "\n";
-  std::printf(
-      "pfact_soak --serve: %zu certified, %zu attempts, "
-      "%llu submitted, %llu shed (queue-full %llu, deadline %llu), "
-      "%llu cache hits, %llu workers spawned, %llu crashed, "
-      "%llu recycles, %zu wrong answers, %zu broken contracts\n",
-      stats.certified, stats.attempts,
-      static_cast<unsigned long long>(sstats.submitted),
-      static_cast<unsigned long long>(sstats.shed_queue_full +
-                                      sstats.shed_deadline +
-                                      sstats.shed_shutdown),
-      static_cast<unsigned long long>(sstats.shed_queue_full),
-      static_cast<unsigned long long>(sstats.shed_deadline),
-      static_cast<unsigned long long>(sstats.served_from_cache),
-      static_cast<unsigned long long>(ps.spawned),
-      static_cast<unsigned long long>(ps.crashed),
-      static_cast<unsigned long long>(ps.recycles), stats.wrong_answers,
-      stats.broken_contracts);
-  if (!ok || stats.wrong_answers != 0 || stats.broken_contracts != 0) {
-    return fail_exit(opt);
-  }
-  std::printf("pfact_soak: all serve campaigns held the contract\n");
-  return 0;
+  return {{"attempts", attempts},
+          {"submitted", sstats.submitted},
+          {"accepted", sstats.accepted},
+          {"shed-queue-full", sstats.shed_queue_full},
+          {"shed-deadline", sstats.shed_deadline},
+          {"cache-hits", sstats.served_from_cache},
+          {"workers-spawned", ps.spawned},
+          {"workers-crashed", ps.crashed},
+          {"recycles", ps.recycles},
+          {"watchdog-kills", ps.watchdog_kills}};
 }
 
 // --- net mode: chaos against the socket front end --------------------------
@@ -820,29 +909,25 @@ std::string raw_request_frame(const ReductionTask& task) {
                             serve::encode_request(req));
 }
 
+// Polls `cond` every millisecond until it holds or `timeout` passes.
 bool wait_until(const std::function<bool()>& cond,
                 std::chrono::milliseconds timeout =
                     std::chrono::milliseconds(5000)) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   while (std::chrono::steady_clock::now() < deadline) {
     if (cond()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return cond();
 }
 
-int run_net_campaigns(const Options& opt, std::ofstream& log) {
+Counts run_net(Soak& soak) {
   const std::vector<ReductionTask> repeat_tasks = build_task_pool();
-
-  serve::ServiceOptions so;
-  so.dispatchers = 2;
-  so.queue_depth = 8;
-  so.cache_capacity = 64;
-  so.pool.workers = 2;
-  so.supervisor.retry.max_attempts = 3;
-  so.supervisor.retry.base_delay = std::chrono::milliseconds{1};
-  so.supervisor.checkpoint_every = 2;
-  serve::ReductionService service(so);
+  serve::ReductionService service({.dispatchers = 2,
+                                   .queue_depth = 8,
+                                   .cache_capacity = 64,
+                                   .pool = {.workers = 2},
+                                   .supervisor = supervisor_policy()});
 
   serve::FrontendOptions fo;
   fo.unix_path =
@@ -853,35 +938,21 @@ int run_net_campaigns(const Options& opt, std::ofstream& log) {
   fo.read_deadline = std::chrono::milliseconds{400};
   fo.write_deadline = std::chrono::milliseconds{2000};
   serve::Frontend frontend(service, fo);
+  if (!frontend.running()) soak.fail("FRONTEND NEVER BOUND", fo.unix_path);
 
-  SoakStats stats;
-  bool ok = true;
-  std::uint64_t unique_id = 0;
-
-  if (!frontend.running()) {
-    ++stats.broken_contracts;
-    log << "FRONTEND NEVER BOUND: " << fo.unix_path << "\n";
-    return fail_exit(opt);
-  }
-
-  auto fail = [&](std::size_t campaign, const char* what,
-                  const std::string& body) {
-    ++stats.broken_contracts;
-    log << "campaign " << campaign << " " << what << "\n" << body << "\n";
-    if (!opt.fail_dir.empty()) {
-      std::ofstream dump(opt.fail_dir + "/net_campaign" +
-                             std::to_string(campaign) + ".txt",
-                         std::ios::trunc);
-      dump << what << "\n" << body << "\n";
-    }
-    ok = false;
-  };
+  std::uint64_t attempts = 0, unique_id = 0;
 
   auto describe = [](const serve::ClientResult& res) {
-    return std::string("status=") +
-           serve::frontend_status_name(res.status) + " diagnostic=" +
-           robustness::diagnostic_name(res.diagnostic) + " attempts=" +
-           std::to_string(res.attempts);
+    return std::string("status=") + serve::frontend_status_name(res.status) +
+           " diagnostic=" + diagnostic_name(res.diagnostic) +
+           " attempts=" + std::to_string(res.attempts);
+  };
+  // One submission's result, held to the zero-wrong-answer contract.
+  auto answered = [&](const serve::ClientResult& res,
+                      const ReductionTask& task, const std::string& context) {
+    attempts += res.attempts;
+    return soak.answer(task, res.ok && res.response.certified,
+                       res.response.value, context, describe(res));
   };
 
   // The five sabotage shapes, cycled with overload (5) and clean/cached (6).
@@ -899,12 +970,7 @@ int run_net_campaigns(const Options& opt, std::ofstream& log) {
     return co;
   };
 
-  for (std::size_t campaign = 0; campaign < opt.campaigns && ok; ++campaign) {
-    if (injected_violation(opt, campaign, log, stats)) {
-      ok = false;
-      break;
-    }
-    Stream rng{opt.seed, campaign};
+  soak.run([&](std::size_t campaign, Stream& rng) {
     const std::size_t shape = campaign % 7;
 
     if (shape < std::size(kNetShapes)) {
@@ -921,26 +987,12 @@ int run_net_campaigns(const Options& opt, std::ofstream& log) {
       const ReductionTask task =
           (campaign % 2 == 0) ? unique_chain_task(unique_id++)
                               : repeat_tasks[rng.pick(repeat_tasks.size())];
+      const std::string name =
+          std::string("net-") + serve::net_fault_name(co.fault.fault);
       serve::Client client(co);
       const serve::ClientResult res = client.submit(task);
-      stats.attempts += res.attempts;
-      if (!res.ok || !res.response.certified ||
-          res.response.value != task.expected()) {
-        if (res.ok && res.response.certified) ++stats.wrong_answers;
-        fail(campaign,
-             res.ok ? "WRONG ANSWER through the socket" : "SUBMISSION LOST",
-             describe(res));
-        break;
-      }
-      ++stats.certified;
-      log << "campaign " << campaign << " net-"
-          << serve::net_fault_name(co.fault.fault)
-          << " certified attempts=" << res.attempts << "\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu net-%s: certified (%zu attempts)\n",
-                    campaign, serve::net_fault_name(co.fault.fault),
-                    res.attempts);
-      }
+      if (!answered(res, task, name)) return;
+      soak.line() << name << " certified attempts=" << res.attempts << "\n";
     } else if (shape == std::size(kNetShapes)) {
       // Connection-bound overload: pin every slot with idle raw
       // connections, then a submission MUST be refused as classified
@@ -952,15 +1004,16 @@ int run_net_campaigns(const Options& opt, std::ofstream& log) {
       }
       if (pins.size() != fo.max_connections) {
         for (int fd : pins) ::close(fd);
-        fail(campaign, "PIN SETUP FAILED",
-             std::to_string(pins.size()) + " of " +
-                 std::to_string(fo.max_connections) + " pins connected");
-        break;
+        soak.fail("PIN SETUP FAILED",
+                  std::to_string(pins.size()) + " of " +
+                      std::to_string(fo.max_connections) +
+                      " pins connected");
+        return;
       }
       serve::ClientOptions co = client_options(rng);
       co.retry.max_attempts = 2;  // both land on a full house
-      serve::Client refused_client(co);
       const ReductionTask task = repeat_tasks[rng.pick(repeat_tasks.size())];
+      serve::Client refused_client(co);
       const serve::ClientResult refused = refused_client.submit(task);
       const std::uint64_t closes_before = frontend.stats().clean_closes;
       for (int fd : pins) ::close(fd);
@@ -969,34 +1022,24 @@ int run_net_campaigns(const Options& opt, std::ofstream& log) {
           refused.diagnostic != Diagnostic::kOverloaded ||
           classify_diagnostic(refused.diagnostic) !=
               FailureKind::kTransient) {
-        fail(campaign, "OVERLOAD NOT CLASSIFIED", describe(refused));
-        break;
+        soak.fail("OVERLOAD NOT CLASSIFIED", describe(refused));
+        return;
       }
+      attempts += refused.attempts;
       // The shed is transient and the pins are gone: the same task must
       // now go straight through.
       if (!wait_until([&] {
             return frontend.stats().clean_closes > closes_before;
           })) {
-        fail(campaign, "PINS NEVER RELEASED",
-             "clean_closes never advanced after closing the pinned "
-             "connections");
-        break;
+        soak.fail("PINS NEVER RELEASED",
+                  "clean_closes never advanced after closing the pinned "
+                  "connections");
+        return;
       }
       serve::Client retry_client(client_options(rng));
       const serve::ClientResult res = retry_client.submit(task);
-      stats.attempts += refused.attempts + res.attempts;
-      if (!res.ok || !res.response.certified ||
-          res.response.value != task.expected()) {
-        if (res.ok && res.response.certified) ++stats.wrong_answers;
-        fail(campaign, "POST-OVERLOAD SUBMISSION LOST", describe(res));
-        break;
-      }
-      ++stats.certified;
-      log << "campaign " << campaign << " net-overload shed then served\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu net-overload: shed as %s, then served\n",
-                    campaign, serve::frontend_status_name(refused.status));
-      }
+      if (!answered(res, task, "net-overload retry")) return;
+      soak.line() << "net-overload shed then served\n";
     } else {
       // Clean round-trip, twice: the first certifies fresh (or refreshes
       // the cache), the immediate repeat MUST be served from the verified
@@ -1005,36 +1048,26 @@ int run_net_campaigns(const Options& opt, std::ofstream& log) {
       serve::Client client(client_options(rng));
       const serve::ClientResult first = client.submit(task);
       const serve::ClientResult second = client.submit(task);
-      stats.attempts += first.attempts + second.attempts;
-      for (const serve::ClientResult* res : {&first, &second}) {
-        if (!res->ok || !res->response.certified ||
-            res->response.value != task.expected()) {
-          if (res->ok && res->response.certified) ++stats.wrong_answers;
-          fail(campaign, "CLEAN ROUND-TRIP LOST", describe(*res));
-          break;
-        }
-        ++stats.certified;
+      if (!answered(first, task, "net-clean") ||
+          !answered(second, task, "net-clean repeat")) {
+        return;
       }
-      if (!ok) break;
       if (!second.response.from_cache) {
-        fail(campaign, "CACHE MISSED THROUGH THE SOCKET",
-             "immediate repeat of an identical task re-factored");
-        break;
+        soak.fail("CACHE MISSED THROUGH THE SOCKET",
+                  "immediate repeat of an identical task re-factored");
+        return;
       }
-      log << "campaign " << campaign << " net-clean cached repeat ok\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu net-clean: cached repeat ok\n", campaign);
-      }
+      soak.line() << "net-clean cached repeat ok\n";
     }
-  }
+  });
 
   // Graceful drain: complete a request AFTER begin_drain and require the
   // classified kDraining refusal — the last FrontendStatus the campaign
   // shapes cannot produce — then require the loop to actually exit.
-  if (ok) {
+  if (soak.ok()) {
     const int fd = raw_connect(fo.unix_path);
     if (fd < 0) {
-      fail(opt.campaigns, "DRAIN CONN FAILED", "connect refused before drain");
+      soak.fail("DRAIN CONN FAILED", "connect refused before drain");
     } else {
       const std::string frame = raw_request_frame(repeat_tasks[0]);
       const std::size_t half = frame.size() / 2;
@@ -1049,80 +1082,38 @@ int run_net_campaigns(const Options& opt, std::ofstream& log) {
                                    std::chrono::steady_clock::now() +
                                        std::chrono::seconds(5))
                : serve::WireStatus::kConnReset;
-      if (ws != serve::WireStatus::kOk ||
-          type != serve::FrameType::kResponse ||
-          !serve::decode_response(payload, resp) ||
-          resp.status != serve::FrontendStatus::kDraining) {
-        fail(opt.campaigns, "DRAIN REFUSAL NOT CLASSIFIED",
-             std::string("wire=") + serve::wire_status_name(ws) +
-                 " status=" + serve::frontend_status_name(resp.status));
-      }
+      const bool refused = ws == serve::WireStatus::kOk &&
+                           type == serve::FrameType::kResponse &&
+                           serve::decode_response(payload, resp) &&
+                           resp.status == serve::FrontendStatus::kDraining;
       ::close(fd);
-      if (ok && !wait_until([&] { return frontend.drained(); })) {
-        fail(opt.campaigns, "DRAIN NEVER FINISHED",
-             "event loop still live 5s after begin_drain");
+      soak.expect(refused, "DRAIN REFUSAL NOT CLASSIFIED",
+                  std::string("wire=") + serve::wire_status_name(ws) +
+                      " status=" + serve::frontend_status_name(resp.status));
+      if (soak.ok()) {
+        soak.expect(wait_until([&] { return frontend.drained(); }),
+                    "DRAIN NEVER FINISHED",
+                    "event loop still live 5s after begin_drain");
       }
     }
   }
 
-  // Coverage: a full-length soak must have ended conversations in EVERY
+  // Every conversation of a full-length soak ended classified, and in EVERY
   // FrontendStatus class — accepted, malformed, deadline, conn-reset,
-  // overloaded, draining. A class never hit means a chaos shape silently
-  // stopped exercising its path.
+  // overloaded, draining.
   const serve::Frontend::Stats fs = frontend.stats();
-  if (ok && opt.campaigns >= 7) {
-    for (serve::FrontendStatus s : serve::all_frontend_statuses()) {
-      if (fs.status(s) == 0) {
-        ++stats.broken_contracts;
-        log << "COVERAGE GAP: FrontendStatus "
-            << serve::frontend_status_name(s)
-            << " never observed through the socket\n";
-        ok = false;
-      }
-    }
-  }
-  // The chaos stayed in the transport: the warm pool behind the service
-  // ends the soak at full strength.
-  if (ok && service.pool().live_workers() != so.pool.workers) {
-    ++stats.broken_contracts;
-    log << "RESPAWN GAP: " << service.pool().live_workers() << " of "
-        << so.pool.workers << " warm workers alive at end of soak\n";
-    ok = false;
-  }
+  soak.cover("FrontendStatus", serve::all_frontend_statuses(),
+             serve::frontend_status_name,
+             [&](serve::FrontendStatus s) { return fs.status(s) > 0; });
+  // The chaos stayed in the transport.
+  expect_full_pool(soak, service, 2);
 
-  log << "summary certified=" << stats.certified
-      << " attempts=" << stats.attempts << " conns=" << fs.conns_accepted;
+  Counts counts = {{"attempts", attempts}, {"conns", fs.conns_accepted}};
   for (serve::FrontendStatus s : serve::all_frontend_statuses()) {
-    log << " " << serve::frontend_status_name(s) << "=" << fs.status(s);
+    counts.emplace_back(serve::frontend_status_name(s), fs.status(s));
   }
-  log << " clean-closes=" << fs.clean_closes
-      << " wrong-answers=" << stats.wrong_answers
-      << " broken-contracts=" << stats.broken_contracts << "\n";
-  std::printf(
-      "pfact_soak --net: %zu certified, %zu attempts, %llu conns "
-      "(accepted %llu, malformed %llu, deadline %llu, conn-reset %llu, "
-      "overloaded %llu, draining %llu), %zu wrong answers, "
-      "%zu broken contracts\n",
-      stats.certified, stats.attempts,
-      static_cast<unsigned long long>(fs.conns_accepted),
-      static_cast<unsigned long long>(
-          fs.status(serve::FrontendStatus::kAccepted)),
-      static_cast<unsigned long long>(
-          fs.status(serve::FrontendStatus::kMalformedFrame)),
-      static_cast<unsigned long long>(
-          fs.status(serve::FrontendStatus::kDeadline)),
-      static_cast<unsigned long long>(
-          fs.status(serve::FrontendStatus::kConnReset)),
-      static_cast<unsigned long long>(
-          fs.status(serve::FrontendStatus::kOverloaded)),
-      static_cast<unsigned long long>(
-          fs.status(serve::FrontendStatus::kDraining)),
-      stats.wrong_answers, stats.broken_contracts);
-  if (!ok || stats.wrong_answers != 0 || stats.broken_contracts != 0) {
-    return fail_exit(opt);
-  }
-  std::printf("pfact_soak: all net campaigns held the contract\n");
-  return 0;
+  counts.emplace_back("clean-closes", fs.clean_closes);
+  return counts;
 }
 
 // --- shard mode: chaos against the sharded self-healing router --------------
@@ -1132,117 +1123,79 @@ int run_net_campaigns(const Options& opt, std::ofstream& log) {
 // the pid is gone. The wedge campaign needs this to prove its SIGSTOP froze
 // a live process rather than landing harmlessly on an unreaped corpse.
 char proc_state(pid_t pid) {
-  char path[64];
-  std::snprintf(path, sizeof(path), "/proc/%d/stat", static_cast<int>(pid));
-  std::FILE* f = std::fopen(path, "r");
-  if (f == nullptr) return '?';
-  char line[512] = {0};
-  char state = '?';
-  if (std::fgets(line, sizeof(line), f) != nullptr) {
-    // Field 3 follows the parenthesized comm, which may itself contain
-    // parens — scan from the LAST ')'.
-    const char* paren = std::strrchr(line, ')');
-    if (paren != nullptr && paren[1] != '\0' && paren[2] != '\0') {
-      state = paren[2];
-    }
-  }
-  std::fclose(f);
-  return state;
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return '?';
+  // Field 3 follows the parenthesized comm, which may itself contain
+  // parens — scan from the LAST ')'.
+  const std::size_t paren = line.rfind(')');
+  return paren != std::string::npos && paren + 2 < line.size()
+             ? line[paren + 2]
+             : '?';
 }
 
-int run_shard_campaigns(const Options& opt, std::ofstream& log) {
+Counts run_shard(Soak& soak) {
   const std::vector<ReductionTask> repeat_tasks = build_task_pool();
 
   serve::RouterOptions ro;
   ro.shards = 3;
-  ro.service.dispatchers = 1;
-  ro.service.queue_depth = 8;
-  ro.service.cache_capacity = 32;
-  ro.service.pool.workers = 1;
-  ro.service.supervisor.retry.max_attempts = 3;
-  ro.service.supervisor.retry.base_delay = std::chrono::milliseconds{1};
-  ro.service.supervisor.checkpoint_every = 2;
+  ro.service = {.dispatchers = 1,
+                .queue_depth = 8,
+                .cache_capacity = 32,
+                .pool = {.workers = 1},
+                .supervisor = supervisor_policy()};
   ro.probe_interval = std::chrono::milliseconds{25};
   ro.probe_deadline = std::chrono::milliseconds{300};
   ro.restart.base_delay = std::chrono::milliseconds{5};
   ro.restart.max_delay = std::chrono::milliseconds{50};
-  ro.restart.jitter_seed = opt.seed;
+  ro.restart.jitter_seed = soak.seed();
   serve::ShardRouter router(ro);
 
   // The unsharded baseline: the SAME service template in one process. Every
-  // fresh certified answer the router hands out must match it bit for bit —
-  // value AND pivot trace — whatever chaos the campaign staged, because a
-  // failover re-runs the whole deterministic reduction rather than resuming
-  // a half-trusted one. Memoized per content-address key so the baseline is
+  // fresh certified answer the router hands out must replay its pivot trace
+  // event for event, whatever chaos the campaign staged, because a failover
+  // re-runs the whole deterministic reduction rather than resuming a
+  // half-trusted one. Memoized per content-address key so the baseline is
   // computed fresh (with a full trace) exactly once per distinct task.
   serve::ReductionService baseline(ro.service);
-  std::map<std::string, std::pair<bool, factor::PivotTrace>> expected_runs;
-
-  SoakStats stats;
-  bool ok = true;
+  std::map<std::string, factor::PivotTrace> baseline_traces;
   std::uint64_t unique_id = 0;
-  std::size_t sheds_survived = 0;
-  std::size_t downs_survived = 0;
-
-  auto fail = [&](std::size_t campaign, const char* what,
-                  const std::string& body) {
-    ++stats.broken_contracts;
-    log << "campaign " << campaign << " " << what << "\n" << body << "\n";
-    if (!opt.fail_dir.empty()) {
-      std::ofstream dump(opt.fail_dir + "/shard_campaign" +
-                             std::to_string(campaign) + ".txt",
-                         std::ios::trunc);
-      dump << what << "\n" << body << "\n";
-    }
-    ok = false;
-  };
 
   // One answered (routed or failed-over) result against ground truth and
-  // the unsharded baseline.
-  auto check_answer = [&](std::size_t campaign, const ReductionTask& task,
+  // the unsharded baseline's trace.
+  auto check_answer = [&](const ReductionTask& task,
                           const serve::RouteResult& r) {
-    if (!r.response.certified || r.response.value != task.expected()) {
-      if (r.response.certified) ++stats.wrong_answers;
-      fail(campaign,
-           r.response.certified ? "WRONG ANSWER through the router"
-                                : "ANSWER NOT CERTIFIED",
-           std::string("status=") + serve::router_status_name(r.status) +
-               " shard=" + std::to_string(r.shard) + " " + task.describe());
+    if (!soak.answer(task, r.response.certified, r.response.value,
+                     "through the router " + task.describe(),
+                     std::string("status=") +
+                         serve::router_status_name(r.status) +
+                         " shard=" + std::to_string(r.shard))) {
       return false;
     }
     const std::string key =
         serve::ResultCache::key_for(task, Substrate::kDouble);
-    auto it = expected_runs.find(key);
-    if (it == expected_runs.end()) {
+    auto it = baseline_traces.find(key);
+    if (it == baseline_traces.end()) {
       const serve::ServiceResponse base = baseline.run(task);
-      if (!base.report.certified || base.report.value != task.expected()) {
-        fail(campaign, "UNSHARDED BASELINE NOT CERTIFIED",
-             base.report.to_string());
+      if (!base.report.certified) {
+        return soak.fail("UNSHARDED BASELINE NOT CERTIFIED",
+                         base.report.to_string());
+      }
+      if (!soak.truth(task, base.report.value, "unsharded baseline",
+                      base.report.to_string())) {
         return false;
       }
-      it = expected_runs
-               .emplace(key, std::make_pair(base.report.value,
-                                            base.report.final_report.trace))
-               .first;
-    }
-    if (r.response.value != it->second.first) {
-      ++stats.wrong_answers;
-      fail(campaign, "SHARDED VALUE DIVERGED FROM UNSHARDED BASELINE",
-           task.describe());
-      return false;
+      it = baseline_traces.emplace(key, base.report.final_report.trace).first;
     }
     // Cache hits legitimately travel without a trace; every fresh answer
     // must replay the baseline's pivot decisions event for event.
-    if (!r.response.from_cache &&
-        !traces_equal(r.response.report.trace, it->second.second)) {
-      ++stats.wrong_answers;
-      fail(campaign, "SHARDED TRACE DIVERGED FROM UNSHARDED BASELINE",
-           task.describe() + " baseline=" +
-               std::to_string(it->second.second.size()) + " events, sharded=" +
-               std::to_string(r.response.report.trace.size()) + " events");
-      return false;
+    if (!r.response.from_cache && r.response.report.trace != it->second) {
+      return soak.fail(
+          "SHARDED TRACE DIVERGED FROM UNSHARDED BASELINE",
+          task.describe() + " baseline=" + std::to_string(it->second.size()) +
+              " events, sharded=" +
+              std::to_string(r.response.report.trace.size()) + " events");
     }
-    ++stats.certified;
     return true;
   };
 
@@ -1250,96 +1203,72 @@ int run_shard_campaigns(const Options& opt, std::ofstream& log) {
   // Every non-answer along the way must be a CLASSIFIED transient refusal —
   // the availability half of the contract: a request is never lost, only
   // answered or refused with a diagnostic a backoff loop can act on.
-  auto answer_through_chaos = [&](std::size_t campaign,
-                                  const ReductionTask& task) {
+  auto answer_through_chaos = [&](const ReductionTask& task) {
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
     while (std::chrono::steady_clock::now() < deadline) {
       const serve::RouteResult r = router.submit(task);
-      ++stats.attempts;
       switch (r.status) {
         case serve::RouterStatus::kRouted:
         case serve::RouterStatus::kFailedOver:
-          return check_answer(campaign, task, r);
+          return check_answer(task, r);
         case serve::RouterStatus::kBrownoutShed:
           if (r.response.report.diagnostic != Diagnostic::kOverloaded ||
               r.response.certified) {
-            fail(campaign, "BROWNOUT SHED NOT CLASSIFIED",
-                 diagnostic_name(r.response.report.diagnostic));
-            return false;
+            return soak.fail("BROWNOUT SHED NOT CLASSIFIED",
+                             diagnostic_name(r.response.report.diagnostic));
           }
-          ++sheds_survived;
           break;
         case serve::RouterStatus::kAllShardsDown:
           if (classify_diagnostic(r.response.report.diagnostic) !=
                   FailureKind::kTransient ||
               r.response.certified) {
-            fail(campaign, "FULL-OUTAGE REFUSAL NOT TRANSIENT",
-                 diagnostic_name(r.response.report.diagnostic));
-            return false;
+            return soak.fail("FULL-OUTAGE REFUSAL NOT TRANSIENT",
+                             diagnostic_name(r.response.report.diagnostic));
           }
-          ++downs_survived;
           break;
         case serve::RouterStatus::kCount_:
-          fail(campaign, "UNCLASSIFIED ENDING", "the sentinel");
-          return false;
+          return soak.fail("UNCLASSIFIED ENDING", "the sentinel");
       }
       // A refusal is the router telling us to back off; oblige briefly so
       // the supervision loop gets cycles to heal the fleet.
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    fail(campaign, "NEVER ANSWERED", task.describe());
-    return false;
+    return soak.fail("NEVER ANSWERED", task.describe());
   };
 
   if (!router.wait_all_serving(std::chrono::seconds(30))) {
-    fail(0, "FLEET NEVER CAME UP", "initial wait_all_serving timed out");
-    return fail_exit(opt);
+    soak.fail("FLEET NEVER CAME UP", "initial wait_all_serving timed out");
   }
 
-  for (std::size_t campaign = 0; campaign < opt.campaigns && ok; ++campaign) {
-    if (injected_violation(opt, campaign, log, stats)) {
-      ok = false;
-      break;
-    }
+  soak.run([&](std::size_t campaign, Stream& rng) {
     // The self-healing contract, asserted between EVERY pair of campaigns:
     // whatever the previous campaign destroyed, the fleet is back at full
     // serving strength before the next one starts.
     if (!router.wait_all_serving(std::chrono::seconds(30))) {
-      fail(campaign, "FLEET NEVER HEALED",
-           "wait_all_serving timed out between campaigns");
-      break;
+      soak.fail("FLEET NEVER HEALED",
+                "wait_all_serving timed out between campaigns");
+      return;
     }
-    Stream rng{opt.seed, campaign};
     const std::size_t shape = campaign % 6;
 
     if (shape == 0) {
       // Clean cached round-trip: a healthy fleet routes a repeat task to
       // its home shard twice; both answers certify.
       const ReductionTask& task = repeat_tasks[rng.pick(repeat_tasks.size())];
-      if (!answer_through_chaos(campaign, task)) break;
-      if (!answer_through_chaos(campaign, task)) break;
-      log << "campaign " << campaign << " shard-clean "
-          << task.describe() << " ok\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu shard-clean: ok\n", campaign);
-      }
+      if (!answer_through_chaos(task) || !answer_through_chaos(task)) return;
+      soak.line() << "shard-clean " << task.describe() << " ok\n";
     } else if (shape == 1 || shape == 2) {
       // Kill the HOME shard mid-stream — SIGKILL on odd shapes, a genuine
       // SIGSEGV on even — and require the key to keep answering throughout
       // the outage (failover) and after the heal.
       const int sig = (shape == 1) ? SIGKILL : SIGSEGV;
       const ReductionTask& task = repeat_tasks[rng.pick(repeat_tasks.size())];
-      if (!answer_through_chaos(campaign, task)) break;  // warm the key
+      if (!answer_through_chaos(task)) return;  // warm the key
       router.kill_shard_for_testing(router.home_shard(task), sig);
-      if (!answer_through_chaos(campaign, task)) break;
-      log << "campaign " << campaign << " shard-kill-"
-          << (sig == SIGKILL ? "sigkill" : "sigsegv") << " "
-          << task.describe() << " survived\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu shard-kill-%s: survived\n", campaign,
-                    sig == SIGKILL ? "sigkill" : "sigsegv");
-      }
+      if (!answer_through_chaos(task)) return;
+      soak.line() << "shard-kill-" << (sig == SIGKILL ? "sigkill" : "sigsegv")
+                  << " " << task.describe() << " survived\n";
     } else if (shape == 3) {
       // Wedge: SIGSTOP freezes a shard's event loop while waitpid sees a
       // live child — only the probe deadline can catch it. The bulkhead
@@ -1354,33 +1283,24 @@ int run_shard_campaigns(const Options& opt, std::ofstream& log) {
       // (/proc state T) and retry while the supervisor settles the fleet.
       const std::size_t victim = rng.pick(ro.shards);
       const ReductionTask& task = repeat_tasks[rng.pick(repeat_tasks.size())];
-      if (!answer_through_chaos(campaign, task)) break;  // warm the key
+      if (!answer_through_chaos(task)) return;  // warm the key
       const serve::ShardRouter::Stats before = router.stats();
-      bool wedged = false;
-      const auto stop_deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(15);
-      while (!wedged && std::chrono::steady_clock::now() < stop_deadline) {
-        const pid_t pid = router.shard_pid(victim);
-        if (pid > 0 && router.kill_shard_for_testing(victim, SIGSTOP) &&
-            router.shard_pid(victim) == pid && proc_state(pid) == 'T') {
-          wedged = true;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
+      const bool wedged = wait_until(
+          [&] {
+            const pid_t pid = router.shard_pid(victim);
+            return pid > 0 && router.kill_shard_for_testing(victim, SIGSTOP) &&
+                   router.shard_pid(victim) == pid && proc_state(pid) == 'T';
+          },
+          std::chrono::seconds(15));
       if (!wedged) {
-        fail(campaign, "WEDGE NEVER LANDED",
-             "no live shard process entered /proc state T under SIGSTOP");
-        break;
+        soak.fail("WEDGE NEVER LANDED",
+                  "no live shard process entered /proc state T under SIGSTOP");
+        return;
       }
-      if (!answer_through_chaos(campaign, task)) break;  // serve through it
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(15);
-      while (router.stats().evictions == before.evictions &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-      if (router.stats().evictions == before.evictions) {
+      if (!answer_through_chaos(task)) return;  // serve through it
+      if (!wait_until(
+              [&] { return router.stats().evictions != before.evictions; },
+              std::chrono::seconds(15))) {
         const serve::ShardRouter::Stats after = router.stats();
         std::string detail =
             "probe deadline did not SIGKILL the SIGSTOPped shard: victim=" +
@@ -1394,59 +1314,45 @@ int run_shard_campaigns(const Options& opt, std::ofstream& log) {
           detail += std::string(i ? "," : "") +
                     serve::shard_status_name(router.shard_status(i));
         }
-        fail(campaign, "WEDGE NEVER EVICTED", detail);
-        break;
+        soak.fail("WEDGE NEVER EVICTED", detail);
+        return;
       }
-      log << "campaign " << campaign << " shard-wedge victim=" << victim
-          << " evicted\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu shard-wedge: evicted\n", campaign);
-      }
+      soak.line() << "shard-wedge victim=" << victim << " evicted\n";
     } else if (shape == 4) {
       // Brownout entry/exit: with one shard down the router must shed a
       // never-seen key as classified kOverloaded while a warm key keeps
       // answering; once the fleet heals, the same fresh key is admitted.
       const ReductionTask& warm = repeat_tasks[rng.pick(repeat_tasks.size())];
-      if (!answer_through_chaos(campaign, warm)) break;
+      if (!answer_through_chaos(warm)) return;
       router.kill_shard_for_testing(rng.pick(ro.shards), SIGKILL);
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(15);
-      while (!router.browned_out() &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      if (!router.browned_out()) {
-        fail(campaign, "BROWNOUT NEVER ENTERED",
-             "shard killed but browned_out() stayed false");
-        break;
+      if (!wait_until([&] { return router.browned_out(); },
+                      std::chrono::seconds(15))) {
+        soak.fail("BROWNOUT NEVER ENTERED",
+                  "shard killed but browned_out() stayed false");
+        return;
       }
       const ReductionTask fresh = unique_chain_task(unique_id++);
       const serve::RouteResult shed = router.submit(fresh);
-      if (shed.status == serve::RouterStatus::kBrownoutShed) {
-        if (shed.response.report.diagnostic != Diagnostic::kOverloaded ||
-            classify_diagnostic(shed.response.report.diagnostic) !=
-                FailureKind::kTransient) {
-          fail(campaign, "BROWNOUT SHED NOT CLASSIFIED",
-               diagnostic_name(shed.response.report.diagnostic));
-          break;
-        }
-        ++sheds_survived;
-      }  // a heal racing the submit is legal: the shed is best-effort here
-      if (!answer_through_chaos(campaign, warm)) break;  // warm keys survive
+      const bool was_shed = shed.status == serve::RouterStatus::kBrownoutShed;
+      // A heal racing the submit is legal: the shed is best-effort here.
+      if (was_shed &&
+          (shed.response.report.diagnostic != Diagnostic::kOverloaded ||
+           classify_diagnostic(shed.response.report.diagnostic) !=
+               FailureKind::kTransient)) {
+        soak.fail("BROWNOUT SHED NOT CLASSIFIED",
+                  diagnostic_name(shed.response.report.diagnostic));
+        return;
+      }
+      if (!answer_through_chaos(warm)) return;  // warm keys survive
       if (!router.wait_all_serving(std::chrono::seconds(30))) {
-        fail(campaign, "BROWNOUT NEVER EXITED",
-             "fleet did not heal after the brownout campaign");
-        break;
+        soak.fail("BROWNOUT NEVER EXITED",
+                  "fleet did not heal after the brownout campaign");
+        return;
       }
-      if (!answer_through_chaos(campaign, fresh)) break;  // admitted again
-      log << "campaign " << campaign << " shard-brownout "
-          << (shed.status == serve::RouterStatus::kBrownoutShed
-                  ? "shed-then-admitted"
-                  : "healed-before-shed")
-          << "\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu shard-brownout: ok\n", campaign);
-      }
+      if (!answer_through_chaos(fresh)) return;  // admitted again
+      soak.line() << "shard-brownout "
+                  << (was_shed ? "shed-then-admitted" : "healed-before-shed")
+                  << "\n";
     } else {
       // Fleet kill / restart storm: SIGKILL every shard at once. The very
       // next submit must be the classified all-shards-down refusal (or a
@@ -1457,23 +1363,20 @@ int run_shard_campaigns(const Options& opt, std::ofstream& log) {
         router.kill_shard_for_testing(i, SIGKILL);
       }
       const ReductionTask& task = repeat_tasks[rng.pick(repeat_tasks.size())];
-      if (!answer_through_chaos(campaign, task)) break;
+      if (!answer_through_chaos(task)) return;
       if (!router.wait_all_serving(std::chrono::seconds(30))) {
-        fail(campaign, "RESTART STORM NEVER HEALED",
-             "fleet did not return to serving after a full kill");
-        break;
+        soak.fail("RESTART STORM NEVER HEALED",
+                  "fleet did not return to serving after a full kill");
+        return;
       }
       if (router.stats().restarts < restarts_before + ro.shards) {
-        fail(campaign, "RESTARTS NOT ACCOUNTED",
-             "fewer respawns than shards killed");
-        break;
+        soak.fail("RESTARTS NOT ACCOUNTED",
+                  "fewer respawns than shards killed");
+        return;
       }
-      log << "campaign " << campaign << " shard-fleet-kill survived\n";
-      if (opt.verbose) {
-        std::printf("campaign %zu shard-fleet-kill: survived\n", campaign);
-      }
+      soak.line() << "shard-fleet-kill survived\n";
     }
-  }
+  });
 
   const serve::ShardRouter::Stats rs = router.stats();
   // Every submit classified as exactly one RouterStatus: the ledger sums.
@@ -1481,80 +1384,63 @@ int run_shard_campaigns(const Options& opt, std::ofstream& log) {
   for (serve::RouterStatus s : serve::all_router_statuses()) {
     classified += rs.status(s);
   }
-  if (ok && classified != rs.submits) {
-    ++stats.broken_contracts;
-    log << "LEDGER GAP: " << rs.submits << " submits but " << classified
-        << " classified endings\n";
-    ok = false;
-  }
-  if (ok && opt.campaigns >= 6) {
-    // Full taxonomy coverage, both enums: a class never observed means a
-    // chaos shape silently stopped exercising its path.
-    for (serve::ShardStatus s : serve::all_shard_statuses()) {
-      if (rs.shard_status_seen[static_cast<std::size_t>(s)] == 0) {
-        ++stats.broken_contracts;
-        log << "COVERAGE GAP: ShardStatus " << serve::shard_status_name(s)
-            << " never observed\n";
-        ok = false;
-      }
-    }
-    for (serve::RouterStatus s : serve::all_router_statuses()) {
-      if (rs.status(s) == 0) {
-        ++stats.broken_contracts;
-        log << "COVERAGE GAP: RouterStatus " << serve::router_status_name(s)
-            << " never observed\n";
-        ok = false;
-      }
-    }
-    // Cache locality: consistent hashing must keep most answers on their
-    // home shard even while campaigns keep killing it. The floor is
-    // deliberately loose (a quarter) — failover storms legitimately move
-    // traffic — but a broken ring (everything failing over) lands near 0.
-    if (rs.answered_by_home * 4 < rs.answered) {
-      ++stats.broken_contracts;
-      log << "LOCALITY GAP: only " << rs.answered_by_home << " of "
-          << rs.answered << " answers came from the home shard\n";
-      ok = false;
-    }
-  }
+  soak.expect(classified == rs.submits, "LEDGER GAP",
+              std::to_string(rs.submits) + " submits but " +
+                  std::to_string(classified) + " classified endings");
+  // Full taxonomy coverage, both enums.
+  soak.cover("ShardStatus", serve::all_shard_statuses(),
+             serve::shard_status_name, [&](serve::ShardStatus s) {
+               return rs.shard_status_seen[static_cast<std::size_t>(s)] > 0;
+             });
+  soak.cover("RouterStatus", serve::all_router_statuses(),
+             serve::router_status_name,
+             [&](serve::RouterStatus s) { return rs.status(s) > 0; });
+  // Cache locality: consistent hashing must keep most answers on their home
+  // shard even while campaigns keep killing it. The floor is deliberately
+  // loose (a quarter) — failover storms legitimately move traffic — but a
+  // broken ring (everything failing over) lands near 0.
+  soak.expect(rs.answered_by_home * 4 >= rs.answered, "LOCALITY GAP",
+              "only " + std::to_string(rs.answered_by_home) + " of " +
+                  std::to_string(rs.answered) +
+                  " answers came from the home shard",
+              1);
 
-  log << "summary certified=" << stats.certified
-      << " submits=" << rs.submits << " routed="
-      << rs.status(serve::RouterStatus::kRouted) << " failed-over="
-      << rs.status(serve::RouterStatus::kFailedOver) << " brownout-shed="
-      << rs.status(serve::RouterStatus::kBrownoutShed) << " all-shards-down="
-      << rs.status(serve::RouterStatus::kAllShardsDown)
-      << " failover-hops=" << rs.failover_hops << " restarts=" << rs.restarts
-      << " evictions=" << rs.evictions << " probes=" << rs.probes
-      << " probe-failures=" << rs.probe_failures
-      << " answered=" << rs.answered
-      << " answered-by-home=" << rs.answered_by_home
-      << " wrong-answers=" << stats.wrong_answers
-      << " broken-contracts=" << stats.broken_contracts << "\n";
-  std::printf(
-      "pfact_soak --shard: %zu certified, %llu submits "
-      "(routed %llu, failed-over %llu, brownout-shed %llu, "
-      "all-shards-down %llu), %llu restarts, %llu evictions, "
-      "%llu/%llu answers by home shard, %zu sheds survived, "
-      "%zu outages survived, %zu wrong answers, %zu broken contracts\n",
-      stats.certified, static_cast<unsigned long long>(rs.submits),
-      static_cast<unsigned long long>(rs.status(serve::RouterStatus::kRouted)),
-      static_cast<unsigned long long>(
-          rs.status(serve::RouterStatus::kFailedOver)),
-      static_cast<unsigned long long>(
-          rs.status(serve::RouterStatus::kBrownoutShed)),
-      static_cast<unsigned long long>(
-          rs.status(serve::RouterStatus::kAllShardsDown)),
-      static_cast<unsigned long long>(rs.restarts),
-      static_cast<unsigned long long>(rs.evictions),
-      static_cast<unsigned long long>(rs.answered_by_home),
-      static_cast<unsigned long long>(rs.answered), sheds_survived,
-      downs_survived, stats.wrong_answers, stats.broken_contracts);
-  if (!ok || stats.wrong_answers != 0 || stats.broken_contracts != 0) {
-    return fail_exit(opt);
-  }
-  std::printf("pfact_soak: all shard campaigns held the contract\n");
-  return 0;
+  return {{"submits", rs.submits},
+          {"routed", rs.status(serve::RouterStatus::kRouted)},
+          {"failed-over", rs.status(serve::RouterStatus::kFailedOver)},
+          {"brownout-shed", rs.status(serve::RouterStatus::kBrownoutShed)},
+          {"all-shards-down", rs.status(serve::RouterStatus::kAllShardsDown)},
+          {"failover-hops", rs.failover_hops},
+          {"restarts", rs.restarts},
+          {"evictions", rs.evictions},
+          {"probes", rs.probes},
+          {"probe-failures", rs.probe_failures},
+          {"answered", rs.answered},
+          {"answered-by-home", rs.answered_by_home}};
+}
+
+constexpr Mode kModes[] = {
+    {"", "", std::size(kInProcessShapes), run_in_process},
+    {"--kill-only", "kill-only", std::size(kKillShapes), run_kill_only},
+    {"--serve", "serve", 7, run_serve},
+    {"--net", "net", 7, run_net},
+    {"--shard", "shard", 6, run_shard},
+};
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: pfact_soak [--campaigns N] [--seed S] [--log FILE] "
+               "[--fail-dir DIR] [--kill-only | --serve | --net | --shard] "
+               "[--inject-violation N]\n");
+  return 2;
+}
+
+// A whole number in decimal, and nothing else.
+template <class T>
+bool parse_whole(const char* s, T& out) {
+  const char* end = s + std::strlen(s);
+  const auto [p, ec] = std::from_chars(s, end, out);
+  return ec == std::errc() && p == end && p != s;
 }
 
 }  // namespace
@@ -1563,42 +1449,35 @@ int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+    const char* value = (i + 1 < argc) ? argv[i + 1] : nullptr;
+    const Mode* mode = nullptr;
+    for (const Mode& m : kModes) {
+      if (*m.flag != '\0' && arg == m.flag) mode = &m;
+    }
+    if (mode != nullptr) {
+      if (opt.mode != nullptr) return usage();  // one mode per soak
+      opt.mode = mode;
+      continue;
+    }
+    if (value == nullptr) return usage();
+    ++i;
     if (arg == "--campaigns") {
-      opt.campaigns = static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
+      if (!parse_whole(value, opt.campaigns) || opt.campaigns == 0) {
+        return usage();
+      }
     } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value(), nullptr, 10);
+      if (!parse_whole(value, opt.seed)) return usage();
     } else if (arg == "--log") {
-      opt.log_path = value();
+      opt.log_path = value;
     } else if (arg == "--fail-dir") {
-      opt.fail_dir = value();
-    } else if (arg == "--kill-only") {
-      opt.kill_only = true;
-    } else if (arg == "--serve") {
-      opt.serve = true;
-    } else if (arg == "--net") {
-      opt.net = true;
-    } else if (arg == "--shard") {
-      opt.shard = true;
+      opt.fail_dir = value;
     } else if (arg == "--inject-violation") {
-      opt.inject_violation =
-          static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
-    } else if (arg == "--verbose") {
-      opt.verbose = true;
+      if (!parse_whole(value, opt.inject_violation)) return usage();
     } else {
-      std::fprintf(stderr,
-                   "usage: pfact_soak [--campaigns N] [--seed S] [--log FILE] "
-                   "[--fail-dir DIR] [--kill-only] [--serve] [--net] "
-                   "[--shard] [--inject-violation N] [--verbose]\n");
-      return 2;
+      return usage();
     }
   }
+  if (opt.mode == nullptr) opt.mode = &kModes[0];
 
   std::ofstream log(opt.log_path, std::ios::trunc);
   if (!log) {
@@ -1606,188 +1485,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   log << "pfact_soak seed=" << opt.seed << " campaigns=" << opt.campaigns
-      << (opt.kill_only ? " kill-only" : "") << (opt.serve ? " serve" : "")
-      << (opt.net ? " net" : "") << (opt.shard ? " shard" : "") << "\n";
+      << (*opt.mode->word ? " " : "") << opt.mode->word << "\n";
 
-  if (opt.shard) return run_shard_campaigns(opt, log);
-  if (opt.net) return run_net_campaigns(opt, log);
-  if (opt.serve) return run_serve_campaigns(opt, log);
-  if (opt.kill_only) return run_kill_campaigns(opt, log);
-
-  const std::vector<ReductionTask> pool = build_task_pool();
-  const std::vector<FaultClass> faults = all_fault_classes();
-  SoakStats stats;
-  bool ok = true;
-
-  for (std::size_t campaign = 0; campaign < opt.campaigns && ok; ++campaign) {
-    if (injected_violation(opt, campaign, log, stats)) {
-      ok = false;
-      break;
-    }
-    Stream rng{opt.seed, campaign};
-    const ReductionTask& task = pool[rng.pick(pool.size())];
-
-    ResilientOptions ro;
-    ro.retry.max_attempts = 3;
-    ro.retry.base_delay = std::chrono::milliseconds{1};
-    ro.retry.jitter_seed = rng.next();
-    // No sleeper installed: backoffs are recorded, not slept — the campaign
-    // stream is wall-clock independent.
-
-    const std::uint64_t shape = rng.pick(5);
-    const char* shape_name = "?";
-    CheckpointStore store;
-
-    switch (shape) {
-      case 0: {  // fault-sweep: one persistent fault across all attempts
-        shape_name = "fault-sweep";
-        FaultPlan plan;
-        plan.fault = faults[rng.pick(faults.size())];
-        plan.seed = rng.next();
-        ro.checkpoint_every = 2 + rng.pick(4);
-        ro.store = &store;
-        ro.fault_for_attempt = [plan](std::size_t) { return plan; };
-        break;
-      }
-      case 1: {  // flip-ladder: rounding flip, ladder starts on SoftFloat
-        shape_name = "flip-ladder";
-        if (task.algorithm == Algorithm::kGqr) {
-          // GQR has no exact rung to escalate into; give it the full ladder
-          // from the bottom instead (the flip is harmless on long double).
-          ro.ladder = {Substrate::kDouble, Substrate::kSoftFloat53};
-        } else {
-          ro.ladder = {Substrate::kSoftFloat53, Substrate::kRational};
-        }
-        FaultPlan plan;
-        plan.fault = FaultClass::kRoundingFlip;
-        plan.seed = rng.next();
-        ro.fault_for_attempt = [plan](std::size_t) { return plan; };
-        break;
-      }
-      case 2: {  // preemption storm: kill every attempt, finish by resume
-        shape_name = "preemption";
-        ro.checkpoint_every = 2;
-        ro.store = &store;
-        ro.limits.max_steps = 3 + rng.pick(3);
-        // Progress per kill is ~checkpoint_every steps, so crossing the
-        // largest pool task (order ~10^2) takes a few hundred kills.
-        ro.retry.max_attempts = 1024;
-        break;
-      }
-      case 3: {  // torn-write: preemption plus a blob corrupted at save
-        shape_name = "torn-write";
-        ro.checkpoint_every = 2;
-        ro.store = &store;
-        ro.limits.max_steps = 4;
-        ro.retry.max_attempts = 1024;
-        FaultPlan plan;
-        plan.fault = FaultClass::kTornWrite;
-        plan.seed = rng.next();
-        ro.fault_for_attempt = [plan](std::size_t attempt) {
-          // Tear only the first attempt's snapshot so the campaign also
-          // proves recovery, not just rejection.
-          return attempt == 1 ? plan : FaultPlan{};
-        };
-        break;
-      }
-      default: {  // kill-resume: explicit crash/resume equivalence
-        shape_name = "kill-resume";
-        // Uninterrupted baseline.
-        ResilientOptions base;
-        base.retry.max_attempts = 1;
-        const ResilientReport baseline = resilient_run(task, base);
-        if (!baseline.certified) {
-          ++stats.broken_contracts;
-          log << "campaign " << campaign << " BROKEN CONTRACT: clean run of "
-              << task.describe() << " not certified\n"
-              << baseline.to_string() << "\n";
-          ok = false;
-          break;
-        }
-        // Kill a checkpointing run at a step boundary...
-        const std::size_t every = 2 + rng.pick(3);
-        ResilientOptions crash;
-        crash.retry.max_attempts = 1;
-        crash.checkpoint_every = every;
-        crash.store = &store;
-        crash.limits.max_steps = every * (1 + rng.pick(3));
-        const ResilientReport crashed = resilient_run(task, crash);
-        tally(crashed, stats);
-        // The killed run may legitimately finish early (the budget can
-        // exceed the task), but a certificate it does hand out must be the
-        // truth — a certified-wrong crash run is the worst possible answer.
-        if (crashed.certified && crashed.value != baseline.value) {
-          ++stats.wrong_answers;
-          log << "campaign " << campaign
-              << " WRONG ANSWER from interrupted run: " << task.describe()
-              << " baseline value=" << baseline.value << "; crashed:\n"
-              << crashed.to_string() << "\n";
-          ok = false;
-          break;
-        }
-        // ...and hand the surviving store to a fresh engine call.
-        ResilientOptions resume;
-        resume.retry.max_attempts = 2;
-        resume.checkpoint_every = every;
-        resume.store = &store;
-        const ResilientReport resumed = resilient_run(task, resume);
-        tally(resumed, stats);
-        if (!resumed.certified || resumed.value != baseline.value ||
-            !traces_equal(resumed.final_report.trace,
-                          baseline.final_report.trace)) {
-          ++stats.broken_contracts;
-          log << "campaign " << campaign
-              << " CRASH/RESUME DIVERGENCE: " << task.describe()
-              << " baseline value=" << baseline.value
-              << " trace=" << baseline.final_report.trace.size()
-              << " events; resumed:\n"
-              << resumed.to_string() << "\n";
-          ok = false;
-          break;
-        }
-        ++stats.certified;
-        if (opt.verbose) {
-          std::printf("campaign %zu %s %s: resumed identically (%zu events)\n",
-                      campaign, shape_name, task.describe().c_str(),
-                      resumed.final_report.trace.size());
-        }
-        log << "campaign " << campaign << " " << shape_name << " "
-            << task.describe() << " ok\n";
-        continue;
-      }
-    }
-    if (!ok) break;
-
-    const ResilientReport rep = resilient_run(task, ro);
-    tally(rep, stats);
-    ok = check_verdict(task, rep, opt, &store, campaign, log, stats);
-    if (opt.verbose) {
-      std::printf("campaign %zu %s %s: %s\n", campaign, shape_name,
-                  task.describe().c_str(),
-                  rep.certified ? "certified" : "terminal");
-    }
-    log << "campaign " << campaign << " " << shape_name << " "
-        << task.describe() << " "
-        << (rep.certified ? "certified" : "terminal") << " attempts="
-        << rep.attempts.size() << " escalations=" << rep.escalations << "\n";
-  }
-
-  log << "summary certified=" << stats.certified
-      << " terminal=" << stats.terminal << " attempts=" << stats.attempts
-      << " escalations=" << stats.escalations << " resumes=" << stats.resumes
-      << " checkpoint-rejections=" << stats.checkpoint_rejections
-      << " wrong-answers=" << stats.wrong_answers
-      << " broken-contracts=" << stats.broken_contracts << "\n";
-  std::printf(
-      "pfact_soak: %zu certified, %zu terminal, %zu attempts, "
-      "%zu escalations, %zu resumes, %zu checkpoint rejections, "
-      "%zu wrong answers, %zu broken contracts\n",
-      stats.certified, stats.terminal, stats.attempts, stats.escalations,
-      stats.resumes, stats.checkpoint_rejections, stats.wrong_answers,
-      stats.broken_contracts);
-  if (!ok || stats.wrong_answers != 0 || stats.broken_contracts != 0) {
-    return fail_exit(opt);
-  }
-  std::printf("pfact_soak: all campaigns held the contract\n");
-  return 0;
+  Soak soak(opt, log);
+  const Counts counts = opt.mode->run(soak);
+  return soak.finish(counts);
 }
